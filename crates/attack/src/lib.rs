@@ -23,8 +23,9 @@
 //!    samples were drawn, the bound needs no multiple-testing correction —
 //!    selection bias lives entirely in phase 1.
 //!
-//! The Monte-Carlo loops run the mechanisms' batched scratch fast paths
-//! (`run_with_scratch_into`) across worker threads, one derived
+//! The Monte-Carlo loops run every target on the blocked `ScratchDraws`
+//! tape (`Mechanism::call` for the correct mechanisms, the zoo's
+//! `run_with_scratch_into`) across worker threads, one derived
 //! [`free_gap_noise::rng::FastRng`] sub-stream per trial, so results are
 //! bit-reproducible for a given seed regardless of thread count.
 //!

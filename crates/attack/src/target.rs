@@ -15,9 +15,10 @@ use free_gap_core::sparse_vector::broken::{
     UnscaledNoiseSvt,
 };
 use free_gap_core::sparse_vector::{
-    AdaptiveOutcome, AdaptiveSparseVector, AdaptiveSvOutput, ClassicSparseVector,
-    DiscreteSparseVectorWithGap, SparseVectorWithGap, SvOutput,
+    AdaptiveOutcome, AdaptiveSparseVector, ClassicSparseVector, DiscreteSparseVectorWithGap,
+    SparseVectorWithGap,
 };
+use free_gap_core::{Mechanism, MechanismOutput, QuerySlice, ScratchDraws, TopKScratch};
 use free_gap_noise::rng::FastRng;
 
 /// What the adversary observes from one mechanism run: per processed query,
@@ -30,9 +31,8 @@ pub struct Observation {
     pub above: Vec<Option<f64>>,
     // Reusable per-flavor output buffers so `observe` stays allocation-free
     // across trials.
-    sv: SvOutput,
+    call: MechanismOutput,
     nv: NoisyValueOutput,
-    adaptive: AdaptiveSvOutput,
 }
 
 impl Default for Observation {
@@ -46,18 +46,13 @@ impl Observation {
     pub fn new() -> Self {
         Self {
             above: Vec::new(),
-            sv: SvOutput { above: Vec::new() },
+            call: MechanismOutput::Indices(Vec::new()),
             nv: Vec::new(),
-            adaptive: AdaptiveSvOutput {
-                outcomes: Vec::new(),
-                spent: 0.0,
-                epsilon: 0.0,
-            },
         }
     }
 
     fn take_sv(&mut self) {
-        std::mem::swap(&mut self.above, &mut self.sv.above);
+        std::mem::swap(&mut self.above, &mut self.call.sparse_vector_mut().above);
     }
 
     fn take_nv(&mut self) {
@@ -67,11 +62,30 @@ impl Observation {
     fn take_adaptive(&mut self) {
         self.above.clear();
         self.above
-            .extend(self.adaptive.outcomes.iter().map(|o| match o {
+            .extend(self.call.adaptive_mut().outcomes.iter().map(|o| match o {
                 AdaptiveOutcome::Above { gap, .. } => Some(*gap),
                 AdaptiveOutcome::Below => None,
             }));
     }
+}
+
+/// Runs a correct mechanism once through [`Mechanism::call`] on the blocked
+/// [`ScratchDraws`] tape — the provider `AnyMechanism::call_batched` picks
+/// for the SVT family.
+fn call_on_tape<M: Mechanism>(
+    mechanism: &M,
+    answers: &QueryAnswers,
+    rng: &mut FastRng,
+    scratch: &mut SvtScratch,
+    out: &mut MechanismOutput,
+) {
+    let called = mechanism.call(
+        &QuerySlice::from_answers(answers),
+        &mut ScratchDraws::new(scratch, rng),
+        &mut TopKScratch::new(),
+        out,
+    );
+    debug_assert!(called.is_ok(), "SVT calls cannot fail");
 }
 
 /// A mechanism under attack: a name, a claimed budget, and a way to sample
@@ -115,11 +129,13 @@ pub trait AttackTarget: Sync {
     );
 }
 
-/// Implements [`AttackTarget`] for an [`SvOutput`]-producing mechanism.
-/// `$eps`/`$thr` name the methods exposing the claimed budget and public
-/// threshold; `$($extra)*` lets a variant override the defaulted methods.
+/// Implements [`AttackTarget`] for a per-query `⊤`/`⊥` mechanism. `$via`
+/// is `call` for the correct mechanisms ([`call_on_tape`]) and `zoo` for
+/// the broken variants (their `run_with_scratch_into`, the zoo's only way
+/// in); `$eps` names the method exposing the claimed budget; `$($extra)*`
+/// lets a variant override the defaulted methods.
 macro_rules! sv_target {
-    ($ty:ty, $name:literal, $eps:ident, $($extra:tt)*) => {
+    ($ty:ty, $name:literal, $via:ident, $eps:ident, $($extra:tt)*) => {
         impl AttackTarget for $ty {
             fn name(&self) -> &'static str {
                 $name
@@ -142,18 +158,25 @@ macro_rules! sv_target {
                 scratch: &mut SvtScratch,
                 out: &mut Observation,
             ) {
-                self.run_with_scratch_into(answers, rng, scratch, &mut out.sv);
+                sv_target!(@$via self, answers, rng, scratch, out);
                 out.take_sv();
             }
         }
     };
+    (@call $m:ident, $answers:ident, $rng:ident, $scratch:ident, $out:ident) => {
+        call_on_tape($m, $answers, $rng, $scratch, &mut $out.call)
+    };
+    (@zoo $m:ident, $answers:ident, $rng:ident, $scratch:ident, $out:ident) => {
+        $m.run_with_scratch_into($answers, $rng, $scratch, $out.call.sparse_vector_mut())
+    };
 }
 
-sv_target!(ClassicSparseVector, "classic-svt", epsilon,);
-sv_target!(SparseVectorWithGap, "svt-with-gap", epsilon,);
+sv_target!(ClassicSparseVector, "classic-svt", call, epsilon,);
+sv_target!(SparseVectorWithGap, "svt-with-gap", call, epsilon,);
 sv_target!(
     DiscreteSparseVectorWithGap,
     "discrete-svt-with-gap",
+    call,
     epsilon,
     fn lattice_only(&self) -> bool {
         true
@@ -162,6 +185,7 @@ sv_target!(
 sv_target!(
     UnscaledNoiseSvt,
     "zoo:unscaled-noise",
+    zoo,
     claimed_epsilon,
     // The thinnest true margin on the standard board (ε ≈ 1.2 in theory
     // but the robustly witnessable ratio is ~e^{0.8} vs a claimed 0.6):
@@ -170,15 +194,17 @@ sv_target!(
         4
     }
 );
-sv_target!(NoQueryNoiseSvt, "zoo:no-query-noise", claimed_epsilon,);
+sv_target!(NoQueryNoiseSvt, "zoo:no-query-noise", zoo, claimed_epsilon,);
 sv_target!(
     BudgetMisallocationSvt,
     "zoo:budget-misallocation",
+    zoo,
     claimed_epsilon,
 );
 sv_target!(
     UnboundedCountSvt,
     "zoo:unbounded-top-count",
+    zoo,
     claimed_epsilon,
     fn sample_factor(&self) -> usize {
         3
@@ -205,7 +231,7 @@ impl AttackTarget for AdaptiveSparseVector {
         scratch: &mut SvtScratch,
         out: &mut Observation,
     ) {
-        self.run_with_scratch_into(answers, rng, scratch, &mut out.adaptive);
+        call_on_tape(self, answers, rng, scratch, &mut out.call);
         out.take_adaptive();
     }
 }

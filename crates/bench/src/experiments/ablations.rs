@@ -13,14 +13,17 @@
 
 // lint:allow-file(panic-freedom): offline experiment driver with compile-time-known parameters; abort beats emitting a half-written figure
 
+use super::call_batched;
 use crate::runner::{mean_and_stderr, parallel_runs, parallel_runs_with_state};
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
 use free_gap_core::metrics::{mse_improvement_percent, selection_quality};
-use free_gap_core::pipelines::{topk_select_measure_with_split_scratch, PipelineScratch};
+use free_gap_core::pipelines::topk_select_measure;
 use free_gap_core::sparse_vector::{AdaptiveSparseVector, Branch, MultiBranchAdaptiveSparseVector};
-use free_gap_core::QueryAnswers;
+use free_gap_core::{
+    AnyMechanism, CallScratch, MechanismOutput, QueryAnswers, QuerySlice, RngDraws, TopKScratch,
+};
 use free_gap_data::Dataset;
 use free_gap_noise::rng::rng_from_seed;
 use rand::seq::SliceRandom;
@@ -73,10 +76,11 @@ fn sweep_adaptive_svt(
     let stats = parallel_runs_with_state(
         config.runs,
         config.seed ^ seed_salt,
-        free_gap_core::scratch::SvtScratch::new,
+        CallScratch::new,
         |_, rng, scratch| {
-            let mech = build(threshold);
-            let out = mech.run_with_scratch(&answers, rng, scratch);
+            let mut out =
+                call_batched(build(threshold), &answers, rng, scratch).expect("valid workload");
+            let out = out.adaptive_mut();
             let q = selection_quality(&out.above_indices(), &truth);
             let answered = out.answered() as f64;
             let top_share = if out.answered() == 0 {
@@ -185,7 +189,11 @@ pub fn branches_sweep(
             let truth = workload.truly_above(threshold);
             let mech = MultiBranchAdaptiveSparseVector::new(k, config.epsilon, threshold, true, m)
                 .expect("validated parameters");
-            let out = mech.run(&workload.answers, rng);
+            let mech = AnyMechanism::from(mech);
+            let mut out = MechanismOutput::new_for(&mech);
+            mech.call_reference(&QuerySlice::from_answers(&workload.answers), rng, &mut out)
+                .expect("SVT calls cannot fail");
+            let out = out.multi_branch_mut();
             let q = selection_quality(&out.above_indices(), &truth);
             let answered = out.answered();
             let cheapest = if answered == 0 {
@@ -245,14 +253,14 @@ pub fn split_sweep(
         let samples = parallel_runs_with_state(
             config.runs,
             config.seed ^ (fi as u64) << 20,
-            PipelineScratch::new,
+            TopKScratch::new,
             |_, rng, scratch| {
-                let r = topk_select_measure_with_split_scratch(
+                let r = topk_select_measure(
                     &workload.answers,
                     k,
                     config.epsilon,
                     fraction,
-                    rng,
+                    &mut RngDraws::new(rng),
                     scratch,
                 )
                 .expect("validated parameters");

@@ -13,15 +13,15 @@
 
 // lint:allow-file(panic-freedom): offline experiment driver with compile-time-known parameters; abort beats emitting a half-written figure
 
+use super::svt_select_measure_on_tape;
 use crate::runner::parallel_runs_with_state;
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
 use free_gap_core::metrics::mse_improvement_percent;
-use free_gap_core::pipelines::{
-    svt_select_measure_scratch, topk_select_measure_scratch, PipelineScratch,
-};
+use free_gap_core::pipelines::{topk_select_measure_scratch, PipelineScratch};
 use free_gap_core::postprocess::{blue_variance_ratio, svt_error_ratio};
+use free_gap_core::SvtScratch;
 use free_gap_data::Dataset;
 
 /// Which panel of Figure 1 to produce.
@@ -64,8 +64,8 @@ pub fn run(config: &ExperimentConfig, panel: Panel, dataset: Dataset, k_values: 
         let samples = parallel_runs_with_state(
             config.runs,
             config.seed ^ (k as u64) << 32,
-            PipelineScratch::new,
-            |_, rng, scratch| {
+            || (PipelineScratch::new(), SvtScratch::new()),
+            |_, rng, (topk, svt)| {
                 let mut s = SseSample::default();
                 match panel {
                     Panel::TopK => {
@@ -74,7 +74,7 @@ pub fn run(config: &ExperimentConfig, panel: Panel, dataset: Dataset, k_values: 
                             k,
                             config.epsilon,
                             rng,
-                            scratch,
+                            topk,
                         )
                         .expect("workload sized for k");
                         for i in 0..k {
@@ -85,13 +85,13 @@ pub fn run(config: &ExperimentConfig, panel: Panel, dataset: Dataset, k_values: 
                     }
                     Panel::Svt => {
                         let t = workload.draw_threshold(k, rng);
-                        let r = svt_select_measure_scratch(
+                        let r = svt_select_measure_on_tape(
                             &workload.answers,
                             k,
                             config.epsilon,
                             t,
                             rng,
-                            scratch,
+                            svt,
                         )
                         .expect("valid configuration");
                         for i in 0..r.indices.len() {

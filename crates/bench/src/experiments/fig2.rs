@@ -9,15 +9,15 @@
 // lint:allow-file(panic-freedom): offline experiment driver with compile-time-known parameters; abort beats emitting a half-written figure
 
 use super::fig1::Panel;
+use super::svt_select_measure_on_tape;
 use crate::runner::parallel_runs_with_state;
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
 use free_gap_core::metrics::mse_improvement_percent;
-use free_gap_core::pipelines::{
-    svt_select_measure_scratch, topk_select_measure_scratch, PipelineScratch,
-};
+use free_gap_core::pipelines::{topk_select_measure_scratch, PipelineScratch};
 use free_gap_core::postprocess::{blue_variance_ratio, svt_error_ratio};
+use free_gap_core::SvtScratch;
 use free_gap_data::Dataset;
 
 /// Runs one panel of Figure 2 over `epsilons` at fixed `k`.
@@ -46,12 +46,11 @@ pub fn run(
         let samples = parallel_runs_with_state(
             config.runs,
             config.seed ^ (ei as u64) << 40,
-            PipelineScratch::new,
-            |_, rng, scratch| match panel {
+            || (PipelineScratch::new(), SvtScratch::new()),
+            |_, rng, (topk, svt)| match panel {
                 Panel::TopK => {
-                    let r =
-                        topk_select_measure_scratch(&workload.answers, k, epsilon, rng, scratch)
-                            .expect("workload sized for k");
+                    let r = topk_select_measure_scratch(&workload.answers, k, epsilon, rng, topk)
+                        .expect("workload sized for k");
                     let mut imp = 0.0;
                     let mut base = 0.0;
                     for i in 0..k {
@@ -62,9 +61,8 @@ pub fn run(
                 }
                 Panel::Svt => {
                     let t = workload.draw_threshold(k, rng);
-                    let r =
-                        svt_select_measure_scratch(&workload.answers, k, epsilon, t, rng, scratch)
-                            .expect("valid configuration");
+                    let r = svt_select_measure_on_tape(&workload.answers, k, epsilon, t, rng, svt)
+                        .expect("valid configuration");
                     let mut imp = 0.0;
                     let mut base = 0.0;
                     for i in 0..r.indices.len() {

@@ -16,12 +16,14 @@
 
 // lint:allow-file(panic-freedom): offline experiment driver with compile-time-known parameters; abort beats emitting a half-written figure
 
+use super::call_batched;
 use crate::runner::{mean_and_stderr, parallel_runs_with_state};
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
 use free_gap_core::metrics::selection_quality;
 use free_gap_core::sparse_vector::{AdaptiveSparseVector, Branch, ClassicSparseVector};
+use free_gap_core::CallScratch;
 use free_gap_data::Dataset;
 use free_gap_noise::rng::rng_from_seed;
 use rand::Rng;
@@ -69,12 +71,7 @@ pub fn run(config: &ExperimentConfig, dataset: Dataset, k_values: &[usize]) -> T
         let stats = parallel_runs_with_state(
             config.runs,
             config.seed ^ salt ^ (k as u64) << 24,
-            || {
-                (
-                    free_gap_core::scratch::SvtScratch::new(),
-                    free_gap_core::scratch::SvtScratch::new(),
-                )
-            },
+            || (CallScratch::new(), CallScratch::new()),
             |_, rng, (svt_scratch, adaptive_scratch)| {
                 let threshold = workload.draw_threshold(k, rng);
                 let truth = workload.truly_above(threshold);
@@ -86,18 +83,22 @@ pub fn run(config: &ExperimentConfig, dataset: Dataset, k_values: &[usize]) -> T
                 let adaptive = AdaptiveSparseVector::new(k, config.epsilon, threshold, true)
                     .expect("validated parameters");
 
-                // SvtScratch buffers a history-dependent lookahead from the
+                // The noise tape buffers a history-dependent lookahead from the
                 // stream it draws on, so each mechanism gets its own
                 // sub-stream (seeded by a fixed number of draws from the run
                 // stream) — results stay independent of worker chunking.
                 let mut svt_rng = rng_from_seed(rng.gen::<u64>());
                 let mut adaptive_rng = rng_from_seed(rng.gen::<u64>());
-                let s = svt.run_with_scratch(&workload.answers, &mut svt_rng, svt_scratch);
-                let a = adaptive.run_with_scratch(
+                let mut s = call_batched(svt, &workload.answers, &mut svt_rng, svt_scratch)
+                    .expect("valid workload");
+                let mut a = call_batched(
+                    adaptive,
                     &workload.answers,
                     &mut adaptive_rng,
                     adaptive_scratch,
-                );
+                )
+                .expect("valid workload");
+                let (s, a) = (s.sparse_vector_mut(), a.adaptive_mut());
                 let sq = selection_quality(&s.above_indices(), &truth);
                 let aq = selection_quality(&a.above_indices(), &truth);
                 RunStats {

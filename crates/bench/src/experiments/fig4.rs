@@ -8,11 +8,13 @@
 
 // lint:allow-file(panic-freedom): offline experiment driver with compile-time-known parameters; abort beats emitting a half-written figure
 
+use super::call_batched;
 use crate::runner::{mean_and_stderr, parallel_runs_with_state};
 use crate::table::Table;
 use crate::workloads::Workload;
 use crate::ExperimentConfig;
 use free_gap_core::sparse_vector::AdaptiveSparseVector;
+use free_gap_core::CallScratch;
 use free_gap_data::Dataset;
 
 /// Runs Figure 4 for the given datasets over `k_values`.
@@ -31,13 +33,15 @@ pub fn run(config: &ExperimentConfig, datasets: &[Dataset], k_values: &[usize]) 
             let fractions = parallel_runs_with_state(
                 config.runs,
                 config.seed ^ salt ^ (k as u64) << 16,
-                free_gap_core::scratch::SvtScratch::new,
+                CallScratch::new,
                 |_, rng, scratch| {
                     let threshold = workload.draw_threshold(k, rng);
                     let mech = AdaptiveSparseVector::new(k, config.epsilon, threshold, true)
                         .expect("validated parameters")
                         .with_answer_limit(k);
-                    mech.run_with_scratch(&workload.answers, rng, scratch)
+                    call_batched(mech, &workload.answers, rng, scratch)
+                        .expect("valid workload")
+                        .adaptive_mut()
                         .remaining_fraction()
                         * 100.0
                 },

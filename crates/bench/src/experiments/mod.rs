@@ -7,6 +7,58 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 
+use free_gap_core::pipelines::{svt_select_measure, SvtPipelineResult};
+use free_gap_core::{
+    AnyMechanism, CallScratch, DrawProvider, MechanismError, MechanismOutput, QueryAnswers,
+    QuerySlice, RngDraws, ScratchDraws, SvtScratch,
+};
+use free_gap_noise::rng::rng_from_seed;
+use rand::rngs::StdRng;
+use rand::Rng;
+
+/// The §6.2 select-then-measure pipeline on the blocked [`ScratchDraws`]
+/// tape, as the figure loops run it. SVT's draw count is data-dependent
+/// and the tape buffers lookahead, so the measurement noise comes from a
+/// sub-stream split off *before* the selection (the stream discipline of
+/// `free_gap_core::scratch`): outputs are a pure function of `rng`.
+pub(crate) fn svt_select_measure_on_tape(
+    answers: &QueryAnswers,
+    k: usize,
+    epsilon: f64,
+    threshold: f64,
+    rng: &mut StdRng,
+    scratch: &mut SvtScratch,
+) -> Result<SvtPipelineResult, MechanismError> {
+    let mut meas_rng = rng_from_seed(rng.gen::<u64>());
+    let mut provider = ScratchDraws::new(scratch, rng);
+    svt_select_measure(
+        answers,
+        k,
+        epsilon,
+        threshold,
+        &mut provider,
+        |_, truths, scale| {
+            let mut out = Vec::new();
+            RngDraws::new(&mut meas_rng).fill_offset(truths, scale, &mut out);
+            out
+        },
+    )
+}
+
+/// One run of `mechanism` over the whole workload on the batched fast
+/// path ([`AnyMechanism::call_batched`]), into a fresh output.
+pub(crate) fn call_batched<R: Rng + ?Sized>(
+    mechanism: impl Into<AnyMechanism>,
+    answers: &QueryAnswers,
+    rng: &mut R,
+    scratch: &mut CallScratch,
+) -> Result<MechanismOutput, MechanismError> {
+    let mechanism = mechanism.into();
+    let mut out = MechanismOutput::new_for(&mechanism);
+    mechanism.call_batched(&QuerySlice::from_answers(answers), rng, scratch, &mut out)?;
+    Ok(out)
+}
+
 /// Seed salt per dataset so Monte-Carlo streams differ across panels that
 /// share all other parameters.
 pub(crate) fn dataset_salt(ds: free_gap_data::Dataset) -> u64 {

@@ -20,8 +20,8 @@
 //! parallelized over threads with per-run derived RNG streams
 //! ([`runner::parallel_runs`]) so results are independent of thread count,
 //! and each worker thread reuses one set of scratch buffers across its whole
-//! chunk ([`runner::parallel_runs_with_state`] + the `run_with_scratch`
-//! fast paths of `free-gap-core`), keeping the Monte-Carlo inner loops
+//! chunk ([`runner::parallel_runs_with_state`] + the batched draw
+//! providers of `free-gap-core`), keeping the Monte-Carlo inner loops
 //! allocation-free.
 //!
 //! ## Performance tracking

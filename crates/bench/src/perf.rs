@@ -5,25 +5,24 @@
 //!
 //! | path | meaning |
 //! |------|---------|
-//! | `dyn` | the allocating `run` path — `dyn NoiseSource` dispatch, fresh buffers per run (the "before") |
-//! | `scratch` | `run_with_scratch` — batched noise, reused buffers, monomorphic `StdRng` |
-//! | `scratch_fast` | `run_with_scratch` driven by [`FastRng`](free_gap_noise::rng::FastRng) (Xoshiro) — the Monte-Carlo fast path |
-//! | `streaming` | `run_streaming_with_scratch` (and the baselines' streaming entries) — the lazy-iterator serving path (all mechanisms except the Noisy-Top-K family, which needs the whole vector by definition) |
+//! | `dyn` | [`AnyMechanism::call_reference`] — the `SourceDraws` provider over `dyn NoiseSource`, fresh buffers per run (the "before") |
+//! | `scratch` | [`AnyMechanism::call_batched`] — the batched provider (`RngDraws`, or the `ScratchDraws` tape for SVT/staircase), reused buffers, monomorphic `StdRng` |
+//! | `scratch_fast` | `call_batched` driven by [`FastRng`](free_gap_noise::rng::FastRng) (Xoshiro) — the Monte-Carlo fast path |
+//! | `streaming` | each streaming mechanism's lazy `*_streaming_with_scratch_into` entry — the lazy-iterator serving path (all mechanisms except the Noisy-Top-K family, which needs the whole vector by definition) |
 //! | `par` | [`AnyMechanism::call_par`] — the intra-run parallel path: per-block sub-stream noise fill plus the per-chunk selection reduce, threads clamped to `min(available_parallelism, 4)` (the Top-K family, the exponential race and the staircase measurement; the SVT family's threshold loop is inherently sequential) |
 //!
-//! All paths execute the *same mechanism*: `scratch` and `streaming` are
-//! bit-identical to `dyn` per run (see `free_gap_core::scratch` and the
-//! `scratch_equivalence` suite), and `scratch_fast` only swaps the
-//! generator. The `par` path draws the documented per-block sub-stream
-//! layout instead of one sequential stream — a *different* (equally
-//! well-defined) sample than `scratch_fast`, but bit-identical to itself
-//! for every thread count (the `draw` module's 1-vs-4-thread digest tests
-//! pin this), so its throughput is comparable cell-for-cell. The `dyn` and `scratch(_fast)` cells dispatch through the
-//! unified `free_gap_core::api::Mechanism` trait
-//! ([`AnyMechanism::call_reference`] / [`AnyMechanism::call_batched`], the
-//! same surface the serving layer speaks), whose bit-identity to the
-//! historical per-mechanism entry points is pinned by the `api_surface`
-//! suite. Results are printed as a table and written to
+//! All paths execute the *same mechanism core*; a path is only a choice of
+//! draw provider. The `dyn`, `scratch(_fast)` and `par` cells dispatch
+//! through the unified `free_gap_core::api::Mechanism` trait (the surface
+//! the serving layer speaks). `scratch` and
+//! `streaming` are bit-identical to `dyn` per run (see
+//! `free_gap_core::scratch` and the `scratch_equivalence` suite), and
+//! `scratch_fast` only swaps the generator. The `par` path draws the
+//! documented per-block sub-stream layout instead of one sequential stream
+//! — a *different* (equally well-defined) sample than `scratch_fast`, but
+//! bit-identical to itself for every thread count (the `draw` module's
+//! 1-vs-4-thread digest tests pin this), so its throughput is comparable
+//! cell-for-cell. Results are printed as a table and written to
 //! `BENCH_mechanisms.json` so the perf trajectory is tracked across PRs —
 //! compare the file in version control against a fresh run on the same
 //! machine before claiming a regression or a win.

@@ -35,8 +35,8 @@ where
 /// instead of O(runs). Determinism: results depend only on `(seed, runs)`,
 /// never on the worker count or chunking, **provided the body follows the
 /// stream discipline of [`free_gap_core::scratch`]** — state carries no RNG
-/// and run `r` always draws from `derive_stream(seed, r)`, but an
-/// `SvtScratch` entry point buffers a state-dependent amount of lookahead
+/// and run `r` always draws from `derive_stream(seed, r)`, but a
+/// `ScratchDraws` run buffers a state-dependent amount of lookahead
 /// from the stream it is given, so it must be the *last* consumer of that
 /// stream (derive per-call sub-streams when one run executes several
 /// mechanisms).

@@ -1,30 +1,32 @@
-//! The unified mechanism-call surface: one request/response shape over
-//! every selection and measurement mechanism in the grid.
+//! The mechanism-call surface: one request/response shape over every
+//! selection and measurement mechanism in the grid.
 //!
-//! Historically each mechanism exposed its own entry-point family
-//! (`run`, `run_with_scratch[_into]`, `run_streaming…`), and every caller
-//! that wanted to treat mechanisms uniformly — the benchmark grid, the
-//! serving layer — hand-rolled a dispatch table of closures. This module
-//! folds that dispatch into the type system:
+//! Every mechanism keeps its algorithm in exactly one core, generic over
+//! the [`DrawProvider`] noise comes through, and this module is the one way
+//! in:
 //!
 //! * [`Mechanism`] — the one-call trait: a query slice in, a
-//!   [`MechanismOutput`] out, noise through any [`DrawProvider`].
+//!   [`MechanismOutput`] out, noise through the caller's [`DrawProvider`].
+//!   The provider *is* the execution path: [`SourceDraws`] (the dyn
+//!   reference the alignment checker interposes on), [`RngDraws`] (batched,
+//!   draw-exact), [`ScratchDraws`] (blocked noise tape) or
+//!   [`ParallelDraws`] (per-block sub-streams). The draw-exact and blocked
+//!   providers serve bit-identical draws on the same RNG stream
+//!   (`tests/scratch_equivalence.rs` pins this).
 //! * [`AnyMechanism`] — a closed enum over the ten grid mechanisms
 //!   (`MECHANISM_PATHS` in the benchmark), dispatching [`Mechanism::call`]
-//!   plus the two provider-choosing conveniences
+//!   plus three provider-choosing conveniences:
 //!   [`call_batched`](AnyMechanism::call_batched) (the fast path a server
-//!   worker drives) and [`call_reference`](AnyMechanism::call_reference)
+//!   worker drives), [`call_par`](AnyMechanism::call_par) (the intra-run
+//!   parallel path) and [`call_reference`](AnyMechanism::call_reference)
 //!   (the dyn `NoiseSource` reference path).
 //!
 //! Design note — why `call` takes a scratch parameter where the obvious
 //! sketch would not: the selection mechanisms need `n`- and `k`-sized
 //! buffers, and `&self` receivers (the mechanisms are `Copy` parameter
 //! packs) cannot own them. Threading one [`TopKScratch`] through the call
-//! keeps the trait allocation-free across requests — the same pattern the
-//! `*_with_scratch_into` entry points already use — while the SVT family's
-//! noise tape rides inside the provider ([`ScratchDraws`]) instead. The
-//! old entry points remain and stay bit-identical: `call` goes through the
-//! very same `run_core` bodies (`tests/api_surface.rs` pins this).
+//! keeps the trait allocation-free across requests, while the SVT family's
+//! noise tape rides inside the provider ([`ScratchDraws`]) instead.
 
 use crate::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws, SourceDraws};
 use crate::error::MechanismError;
@@ -356,9 +358,9 @@ impl Mechanism for DiscreteNoisyTopKWithGap {
 }
 
 /// The exponential mechanism lifted to a Top-K selection by peeling
-/// (`k` sequential draws, each costing the base mechanism's `ε`) — the
-/// same composition `ExponentialMechanism::run_top_k` uses, packaged with
-/// its `k` so it fits the one-call surface.
+/// (`k` sequential draws, each costing the base mechanism's `ε`; one-shot
+/// Gumbel top-`k` is the same distribution), packaged with its `k` so it
+/// fits the one-call surface.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExponentialTopK {
     mech: ExponentialMechanism,
@@ -658,9 +660,7 @@ impl Mechanism for AnyMechanism {
 impl AnyMechanism {
     /// True for the mechanisms whose fast path draws noise off the blocked
     /// [`ScratchDraws`] tape (SVT family, staircase); the rest draw exact
-    /// through [`RngDraws`]. This mirrors the provider each mechanism's
-    /// historical `*_with_scratch` entry point chose, which is what keeps
-    /// [`call_batched`](Self::call_batched) bit-identical to them.
+    /// through [`RngDraws`].
     fn uses_tape(&self) -> bool {
         matches!(
             self,
@@ -674,10 +674,9 @@ impl AnyMechanism {
     }
 
     /// The batched fast path: [`Mechanism::call`] through each mechanism's
-    /// historical fast provider ([`RngDraws`] for the selection
-    /// mechanisms, the blocked [`ScratchDraws`] tape for SVT/staircase).
-    /// Bit-identical to the mechanism's own `*_with_scratch` entry point
-    /// on the same RNG stream.
+    /// fast provider ([`RngDraws`] for the selection mechanisms, the
+    /// blocked [`ScratchDraws`] tape for SVT/staircase). Bit-identical to
+    /// [`call_reference`](Self::call_reference) on the same RNG stream.
     pub fn call_batched<R: Rng + ?Sized>(
         &self,
         req: &QuerySlice<'_>,
@@ -723,8 +722,8 @@ impl AnyMechanism {
 
     /// The dyn reference path: [`Mechanism::call`] through
     /// [`SourceDraws`] over a [`SamplingSource`], allocating fresh
-    /// buffers per call — the historical per-draw-cost baseline the
-    /// benchmark grid measures the fast paths against.
+    /// buffers per call — the per-draw-cost baseline the benchmark grid
+    /// measures the fast paths against.
     pub fn call_reference(
         &self,
         req: &QuerySlice<'_>,
@@ -796,6 +795,55 @@ impl From<DiscreteSparseVectorWithGap> for AnyMechanism {
     fn from(m: DiscreteSparseVectorWithGap) -> Self {
         Self::DiscreteSparseVectorWithGap(m)
     }
+}
+
+/// Test shorthands for the dyn reference path, shared by the in-crate
+/// mechanism tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+    use crate::answers::QueryAnswers;
+
+    /// One [`Mechanism::call`] through [`SourceDraws`] over a
+    /// [`SamplingSource`] on `rng`, with fresh buffers.
+    pub(crate) fn reference<M: Mechanism>(
+        m: &M,
+        answers: &QueryAnswers,
+        rng: &mut StdRng,
+    ) -> Result<MechanismOutput, MechanismError> {
+        let mut source = SamplingSource::new(rng);
+        let mut out = MechanismOutput::Indices(Vec::new());
+        m.call(
+            &QuerySlice::from_answers(answers),
+            &mut SourceDraws::new(&mut source),
+            &mut TopKScratch::new(),
+            &mut out,
+        )?;
+        Ok(out)
+    }
+
+    /// Test-only unwrappers, one per output shape.
+    macro_rules! into_shape {
+        ($($name:ident => $variant:ident($ty:ty)),* $(,)?) => {
+            impl MechanismOutput {
+                $(pub(crate) fn $name(self) -> $ty {
+                    match self {
+                        Self::$variant(o) => o,
+                        other => panic!("expected {}, got {other:?}", stringify!($variant)),
+                    }
+                })*
+            }
+        };
+    }
+
+    into_shape!(
+        into_top_k => TopK(TopKOutput),
+        into_indices => Indices(Vec<usize>),
+        into_sv => SparseVector(SvOutput),
+        into_adaptive => Adaptive(AdaptiveSvOutput),
+        into_multi_branch => MultiBranch(MultiBranchSvOutput),
+        into_measurements => Measurements(Vec<f64>),
+    );
 }
 
 #[cfg(test)]

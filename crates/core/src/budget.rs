@@ -70,7 +70,9 @@ impl PrivacyBudget {
                 remaining: self.remaining(),
             });
         }
-        self.spent = (self.spent + epsilon).min(self.total);
+        // No clamp back to `total`: `spent` records the true sum, so once
+        // the slack is used up even the tiniest debit is rejected.
+        self.spent += epsilon;
         Ok(())
     }
 
@@ -171,6 +173,23 @@ mod tests {
         }
         assert!(b.remaining() < 1e-12);
         assert!(!b.can_spend(0.01));
+    }
+
+    #[test]
+    fn exhausted_budget_rejects_tiny_debits() {
+        // Regression: `try_debit` used to clamp `spent` back to `total`, so
+        // an exhausted budget accepted every debit that fit in the slack.
+        let total = 1.0;
+        let eps = 5e-13;
+        let mut b = PrivacyBudget::new(total).unwrap();
+        b.try_debit(total).unwrap();
+        let accepted = (0..1_000_000).filter(|_| b.try_debit(eps).is_ok()).count();
+        let bound = (1e-12 * total / eps).floor() as usize + 1;
+        assert!(
+            accepted <= bound,
+            "{accepted} tiny debits accepted after exhaustion"
+        );
+        assert!(b.spent() <= total * (1.0 + 1e-12), "spent {}", b.spent());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Each mechanism in [`crate::noisy_max`] and [`crate::sparse_vector`] keeps
 //! **exactly one** copy of its decision/budget logic, written against the
-//! [`DrawProvider`] trait. The execution paths differ only in which provider
-//! the thin public entry points construct:
+//! [`DrawProvider`] trait and reached through
+//! [`Mechanism::call`](crate::api::Mechanism::call). The execution paths
+//! differ only in which provider the caller hands in:
 //!
 //! ```text
 //!                mechanism core (one function, generic over P: DrawProvider)
@@ -13,7 +14,7 @@
 //!   SourceDraws                  ScratchDraws                  RngDraws
 //!   (dyn NoiseSource:            (SvtScratch/BlockBuffer:      (plain Rng:
 //!    alignment checker,           batched + blocked noise,      draw-exact
-//!    reference `run`)             Monte-Carlo fast path)        monomorphic)
+//!    reference path)              Monte-Carlo fast path)        monomorphic)
 //! ```
 //!
 //! ## Contract

@@ -12,33 +12,25 @@
 //! The Gumbel race exists once, generic over the
 //! [`DrawProvider`] noise comes through: one standard-Gumbel draw per query
 //! in stream order, scores `qᵢ·t + Gᵢ` compared under the `f64` **total
-//! order** (ties to the smaller index). The entry points pick the provider
-//! and the selection strategy:
-//!
-//! * `run` / `run_top_k` — the dyn reference. `run_top_k` materializes all
-//!   `n` scores through [`SourceDraws`] and sorts them (the one-shot Gumbel
-//!   race as usually stated, `O(n log n)`);
-//! * `run_with_scratch` / `run_top_k_with_scratch[_into]` — the batched
-//!   fast path over [`TopKScratch`]: the race core streams scores through a
-//!   `k`-sized insertion buffer (`O(n·k)` with tiny constants, reused
-//!   buffers, monomorphic RNG). Output is **bit-identical** to the
-//!   reference sort on the same RNG stream — same draws, same total order —
-//!   asserted by `tests/scratch_equivalence.rs`;
-//! * `run_streaming` / `run_top_k_streaming[_with_scratch[_into]]` — the
-//!   same race over `impl IntoIterator<Item = f64>`: `O(k)` memory, the
-//!   query vector is never materialized. (Selection must see every query,
-//!   so unlike SVT the stream is always fully consumed.)
+//! order** (ties to the smaller index), the `k` best kept in a `k`-sized
+//! insertion buffer (`O(n·k)` with tiny constants, `O(k)` memory). It is
+//! reached through [`ExponentialTopK`](crate::api::ExponentialTopK)'s
+//! [`Mechanism::call`](crate::api::Mechanism::call) with any provider, and
+//! over a lazy query stream through
+//! [`run_top_k_streaming_with_scratch_into`](ExponentialMechanism::run_top_k_streaming_with_scratch_into).
+//! (Selection must see every query, so unlike SVT the stream is always
+//! fully consumed.) The intra-run parallel path
+//! ([`AnyMechanism::call_par`](crate::api::AnyMechanism::call_par)) scores
+//! every query in one batched fill and replays the same insertion rule.
 //!
 //! Workloads are validated up front: a NaN or infinite utility is a typed
 //! [`MechanismError::NonFiniteUtility`], never a sort panic or a silent
 //! mis-selection.
 
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, RngDraws, SourceDraws};
+use crate::draw::{DrawProvider, RngDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
-use free_gap_alignment::{NoiseSource, SamplingSource};
-use rand::rngs::StdRng;
 use rand::Rng;
 use std::cmp::Ordering;
 
@@ -117,13 +109,7 @@ impl ExponentialMechanism {
         Ok(())
     }
 
-    /// Validates the Top-K configuration against a materialized workload.
-    fn require_top_k(&self, answers: &QueryAnswers, k: usize) -> Result<(), MechanismError> {
-        Self::require_top_k_len(answers.len(), k)
-    }
-
-    /// Slice-level form of the Top-K validation, shared with the unified
-    /// [`crate::api`] call surface.
+    /// Validates the Top-K configuration against the workload size.
     pub(crate) fn require_top_k_len(len: usize, k: usize) -> Result<(), MechanismError> {
         if k > len {
             return Err(MechanismError::InvalidK {
@@ -201,196 +187,15 @@ impl ExponentialMechanism {
         Ok(processed)
     }
 
-    /// Samples one index via the Gumbel-max trick (the dyn reference path,
-    /// through [`SourceDraws`]).
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> Result<usize, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Samples one index against an explicit noise source.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> Result<usize, MechanismError> {
-        answers.require_len(1)?;
-        let (mut scores, mut top) = (Vec::with_capacity(2), Vec::with_capacity(2));
-        self.race_core(
-            answers.values().iter().copied(),
-            1,
-            &mut SourceDraws::new(source),
-            &mut scores,
-            &mut top,
-        )?;
-        Ok(top[0])
-    }
-
-    /// Batched fast path of [`run`](Self::run): the race core through
-    /// [`RngDraws`] with [`TopKScratch`]'s reused buffers. Bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    // lint:allow(taxonomy): returns a single winner index — there is no output buffer an _into twin could reuse
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<usize, MechanismError> {
-        answers.require_len(1)?;
-        self.race_core(
-            answers.values().iter().copied(),
-            1,
-            &mut RngDraws::new(rng),
-            &mut scratch.noisy,
-            &mut scratch.top,
-        )?;
-        Ok(scratch.top[0])
-    }
-
-    /// Streaming twin of [`run`](Self::run): the argmax race over a lazy
-    /// query stream, `O(1)` memory, nothing materialized. Errors on an
-    /// empty stream.
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> Result<usize, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        let (mut scores, mut top) = (Vec::with_capacity(2), Vec::with_capacity(2));
-        let processed = self.race_core(
-            queries,
-            1,
-            &mut SourceDraws::new(&mut source),
-            &mut scores,
-            &mut top,
-        )?;
-        if processed == 0 {
-            return Err(MechanismError::NotEnoughQueries { got: 0, need: 1 });
-        }
-        Ok(top[0])
-    }
-
-    /// Samples `k` indices *with replacement-free sequential application*
-    /// (peeling): repeatedly applies the mechanism to the not-yet-selected
-    /// queries, spending `epsilon` each round — total cost `k·ε`. A
-    /// selection baseline for the Top-K experiments.
-    ///
-    /// This is the dyn reference path: all `n` scores are materialized
-    /// through [`SourceDraws`] and sorted (one-shot Gumbel top-k is
-    /// equivalent to sequential peeling with fresh noise each round — the
-    /// Gumbel race equivalence). The scratch/streaming entry points run the
-    /// same race through a `k`-sized insertion buffer instead; outputs are
-    /// bit-identical on the same RNG stream.
-    pub fn run_top_k(
-        &self,
-        answers: &QueryAnswers,
-        k: usize,
-        rng: &mut StdRng,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.run_top_k_with_source(answers, k, &mut source)
-    }
-
-    /// [`run_top_k`](Self::run_top_k) against an explicit noise source.
-    pub fn run_top_k_with_source(
-        &self,
-        answers: &QueryAnswers,
-        k: usize,
-        source: &mut dyn NoiseSource,
-    ) -> Result<Vec<usize>, MechanismError> {
-        self.require_top_k(answers, k)?;
-        let mut provider = SourceDraws::new(source);
-        provider.begin();
-        let t = self.exponent();
-        let mut scores: Vec<(f64, usize)> = Vec::with_capacity(answers.len());
-        for (i, &q) in answers.values().iter().enumerate() {
-            scores.push((Self::score(t, i, q, &mut provider)?, i));
-        }
-        // Reference selection: total-order sort, descending score, ties to
-        // the smaller index — the exact order the race core's insertion
-        // buffer maintains (`scratch_equivalence` keeps the two honest).
-        scores.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-        Ok(scores.into_iter().take(k).map(|(_, i)| i).collect())
-    }
-
-    /// Batched fast path of [`run_top_k`](Self::run_top_k) over
-    /// [`TopKScratch`]: the race core through [`RngDraws`] — `k`-sized
-    /// insertion selection, reused buffers, monomorphic RNG, no sort.
-    /// Bit-identical to [`run_top_k`](Self::run_top_k) on the same RNG
-    /// stream.
-    pub fn run_top_k_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        k: usize,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_top_k_with_scratch_into(answers, k, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_top_k_with_scratch`](Self::run_top_k_with_scratch): writes the
-    /// selected indices into `out`, reusing its buffer across runs.
-    pub fn run_top_k_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        k: usize,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MechanismError> {
-        self.require_top_k(answers, k)?;
-        self.race_core(
-            answers.values().iter().copied(),
-            k,
-            &mut RngDraws::new(rng),
-            &mut scratch.noisy,
-            &mut scratch.top,
-        )?;
-        out.clear();
-        out.extend_from_slice(&scratch.top);
-        Ok(())
-    }
-
-    /// Intra-run parallel path of [`run_top_k`](Self::run_top_k): all
-    /// utilities are validated up front, every score `qᵢ·t + Gumbelᵢ` is
-    /// produced in one batched
+    /// The intra-run parallel race: all utilities are validated up front,
+    /// every score `qᵢ·t + Gumbelᵢ` is produced in one batched
     /// [`gumbel_fill_offset`](DrawProvider::gumbel_fill_offset) (split
     /// across a per-block provider's threads), and the race's insertion
     /// rule replays over the precomputed scores in index order — the exact
-    /// `f64`-total-order rule of `race_core`, so the
-    /// result is bit-identical for any thread count of the same provider
-    /// family. (Per-chunk reduce is deliberately *not* used here: the race
-    /// orders by `total_cmp`, not the Noisy-Max `>=` rule.)
-    pub fn run_top_k_par_with_scratch<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        k: usize,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_top_k_par_with_scratch_into(answers, k, provider, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_top_k_par_with_scratch`](Self::run_top_k_par_with_scratch).
-    pub fn run_top_k_par_with_scratch_into<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        k: usize,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MechanismError> {
-        self.race_par_core(answers.values(), k, provider, scratch, out)
-    }
-
-    /// Slice-level body of the batched parallel race, shared with the
-    /// unified [`crate::api`] call surface.
+    /// `f64`-total-order rule of `race_core`, so the result is
+    /// bit-identical for any thread count of the same provider family.
+    /// (Per-chunk reduce is deliberately *not* used here: the race orders
+    /// by `total_cmp`, not the Noisy-Max `>=` rule.)
     pub(crate) fn race_par_core<P: DrawProvider>(
         &self,
         values: &[f64],
@@ -428,50 +233,11 @@ impl ExponentialMechanism {
         Ok(())
     }
 
-    /// Streaming twin of [`run_top_k`](Self::run_top_k): the race over a
-    /// lazy query stream with `O(k)` memory. The workload-size check moves
-    /// to the end of the stream (a stream shorter than `k` is
+    /// The lazy streaming entry: the race over `queries` through
+    /// [`RngDraws`] with [`TopKScratch`]'s reused buffers, writing the
+    /// selected indices into `out`. The workload-size check moves to the
+    /// end of the stream (a stream shorter than `k` is
     /// [`MechanismError::NotEnoughQueries`]).
-    pub fn run_top_k_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        k: usize,
-        rng: &mut StdRng,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        let (mut scores, mut top) = (Vec::new(), Vec::new());
-        let processed = self.race_core(
-            queries,
-            k,
-            &mut SourceDraws::new(&mut source),
-            &mut scores,
-            &mut top,
-        )?;
-        if processed < k {
-            return Err(MechanismError::NotEnoughQueries {
-                got: processed,
-                need: k,
-            });
-        }
-        Ok(top)
-    }
-
-    /// Streaming + scratch: the race over a lazy stream with
-    /// [`TopKScratch`]'s reused buffers and a monomorphic RNG.
-    pub fn run_top_k_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        k: usize,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_top_k_streaming_with_scratch_into(queries, k, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_top_k_streaming_with_scratch`](Self::run_top_k_streaming_with_scratch).
     pub fn run_top_k_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
@@ -502,6 +268,10 @@ impl ExponentialMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::testing::reference;
+    use crate::api::ExponentialTopK;
+    use crate::draw::SourceDraws;
+    use free_gap_alignment::SamplingSource;
     use free_gap_noise::rng::rng_from_seed;
 
     fn workload() -> QueryAnswers {
@@ -552,15 +322,19 @@ mod tests {
         ));
     }
 
+    fn top_k(m: ExponentialMechanism, k: usize) -> ExponentialTopK {
+        ExponentialTopK::new(m, k).unwrap()
+    }
+
     #[test]
     fn gumbel_sampler_matches_softmax() {
-        let m = ExponentialMechanism::new(0.8, true).unwrap();
-        let p = m.probabilities(&workload()).unwrap();
+        let m = top_k(ExponentialMechanism::new(0.8, true).unwrap(), 1);
+        let p = m.mechanism().probabilities(&workload()).unwrap();
         let mut rng = rng_from_seed(50);
         let n = 200_000;
         let mut counts = [0usize; 3];
         for _ in 0..n {
-            counts[m.run(&workload(), &mut rng).unwrap()] += 1;
+            counts[reference(&m, &workload(), &mut rng).unwrap().into_indices()[0]] += 1;
         }
         for i in 0..3 {
             let emp = counts[i] as f64 / n as f64;
@@ -571,9 +345,9 @@ mod tests {
 
     #[test]
     fn top_k_returns_distinct_indices() {
-        let m = ExponentialMechanism::new(1.0, true).unwrap();
+        let m = top_k(ExponentialMechanism::new(1.0, true).unwrap(), 2);
         let mut rng = rng_from_seed(51);
-        let sel = m.run_top_k(&workload(), 2, &mut rng).unwrap();
+        let sel = reference(&m, &workload(), &mut rng).unwrap().into_indices();
         assert_eq!(sel.len(), 2);
         assert_ne!(sel[0], sel[1]);
     }
@@ -581,13 +355,23 @@ mod tests {
     #[test]
     fn empty_workload_is_a_typed_error() {
         // Regression: used to be an `assert!` panic.
-        let m = ExponentialMechanism::new(1.0, true).unwrap();
+        let base = ExponentialMechanism::new(1.0, true).unwrap();
         assert!(matches!(
-            m.run(&QueryAnswers::counting(vec![]), &mut rng_from_seed(1)),
-            Err(MechanismError::NotEnoughQueries { got: 0, need: 1 })
+            reference(
+                &top_k(base, 1),
+                &QueryAnswers::counting(vec![]),
+                &mut rng_from_seed(1)
+            ),
+            Err(MechanismError::InvalidK { k: 1, .. })
         ));
         assert!(matches!(
-            m.run_streaming(std::iter::empty(), &mut rng_from_seed(1)),
+            base.run_top_k_streaming_with_scratch_into(
+                std::iter::empty(),
+                1,
+                &mut rng_from_seed(1),
+                &mut TopKScratch::new(),
+                &mut Vec::new(),
+            ),
             Err(MechanismError::NotEnoughQueries { got: 0, need: 1 })
         ));
     }
@@ -596,16 +380,18 @@ mod tests {
     fn oversized_k_is_a_typed_error() {
         // Regression: used to be an `assert!` panic on the materialized
         // path; the streaming path reports it at end-of-stream.
-        let m = ExponentialMechanism::new(1.0, true).unwrap();
+        let base = ExponentialMechanism::new(1.0, true).unwrap();
         assert!(matches!(
-            m.run_top_k(&workload(), 4, &mut rng_from_seed(1)),
+            reference(&top_k(base, 4), &workload(), &mut rng_from_seed(1)),
             Err(MechanismError::InvalidK { k: 4, .. })
         ));
         assert!(matches!(
-            m.run_top_k_streaming(
+            base.run_top_k_streaming_with_scratch_into(
                 workload().values().iter().copied(),
                 4,
-                &mut rng_from_seed(1)
+                &mut rng_from_seed(1),
+                &mut TopKScratch::new(),
+                &mut Vec::new(),
             ),
             Err(MechanismError::NotEnoughQueries { got: 3, need: 4 })
         ));
@@ -614,26 +400,25 @@ mod tests {
     #[test]
     fn nan_utility_is_a_typed_error_on_every_path() {
         // Regression: a NaN score used to panic `partial_cmp().unwrap()` in
-        // `run_top_k` and silently lose every `>` comparison in `run`
-        // (mis-selecting index 0 regardless of the race).
-        let m = ExponentialMechanism::new(1.0, true).unwrap();
+        // the reference sort and silently lose every `>` comparison in the
+        // single-index race (mis-selecting index 0 regardless of the race).
+        let base = ExponentialMechanism::new(1.0, true).unwrap();
         let bad = QueryAnswers::counting(vec![1.0, f64::NAN, 3.0]);
-        let mut scratch = TopKScratch::new();
-        assert!(matches!(
-            m.run(&bad, &mut rng_from_seed(2)),
-            Err(MechanismError::NonFiniteUtility { index: 1, .. })
-        ));
-        assert!(matches!(
-            m.run_top_k(&bad, 2, &mut rng_from_seed(2)),
-            Err(MechanismError::NonFiniteUtility { index: 1, .. })
-        ));
-        assert!(matches!(
-            m.run_top_k_with_scratch(&bad, 2, &mut rng_from_seed(2), &mut scratch),
-            Err(MechanismError::NonFiniteUtility { index: 1, .. })
-        ));
+        for k in [1, 2] {
+            assert!(matches!(
+                reference(&top_k(base, k), &bad, &mut rng_from_seed(2)),
+                Err(MechanismError::NonFiniteUtility { index: 1, .. })
+            ));
+        }
         let inf = QueryAnswers::counting(vec![1.0, 2.0, f64::INFINITY]);
         assert!(matches!(
-            m.run_streaming(inf.values().iter().copied(), &mut rng_from_seed(2)),
+            base.run_top_k_streaming_with_scratch_into(
+                inf.values().iter().copied(),
+                1,
+                &mut rng_from_seed(2),
+                &mut TopKScratch::new(),
+                &mut Vec::new(),
+            ),
             Err(MechanismError::NonFiniteUtility { index: 2, .. })
         ));
     }
@@ -641,25 +426,53 @@ mod tests {
     #[test]
     fn k_zero_selects_nothing() {
         let m = ExponentialMechanism::new(1.0, true).unwrap();
-        assert!(m
-            .run_top_k(&workload(), 0, &mut rng_from_seed(3))
-            .unwrap()
-            .is_empty());
-        assert!(m
-            .run_top_k(&QueryAnswers::counting(vec![]), 0, &mut rng_from_seed(3))
-            .unwrap()
-            .is_empty());
+        for answers in [workload(), QueryAnswers::counting(vec![])] {
+            let mut out = vec![7];
+            m.run_top_k_streaming_with_scratch_into(
+                answers.values().iter().copied(),
+                0,
+                &mut rng_from_seed(3),
+                &mut TopKScratch::new(),
+                &mut out,
+            )
+            .unwrap();
+            assert!(out.is_empty());
+        }
     }
 
     #[test]
-    fn run_is_the_k1_race_on_the_same_stream() {
-        let m = ExponentialMechanism::new(0.9, false).unwrap();
-        for seed in 0..20 {
-            let a = m.run(&workload(), &mut rng_from_seed(seed)).unwrap();
-            let b = m
-                .run_top_k(&workload(), 1, &mut rng_from_seed(seed))
-                .unwrap();
-            assert_eq!(a, b[0], "seed {seed}");
+    fn race_matches_the_reference_sort_on_the_same_stream() {
+        // The one-shot Gumbel race as usually stated: materialize every
+        // score from the same draws and sort (descending, total order, ties
+        // to the smaller index). The insertion race must select exactly the
+        // sort's prefix.
+        let base = ExponentialMechanism::new(0.9, false).unwrap();
+        let answers = QueryAnswers::general(vec![5.0, 3.0, 5.0, 1.0, 4.0, 2.0]);
+        for k in 1..=answers.len() {
+            for seed in 0..20 {
+                let mut rng = rng_from_seed(seed);
+                let mut source = SamplingSource::new(&mut rng);
+                let mut provider = SourceDraws::new(&mut source);
+                provider.begin();
+                let t = base.exponent();
+                let mut scores: Vec<(f64, usize)> = answers
+                    .values()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &q)| {
+                        (
+                            ExponentialMechanism::score(t, i, q, &mut provider).unwrap(),
+                            i,
+                        )
+                    })
+                    .collect();
+                scores.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                let expect: Vec<usize> = scores.iter().take(k).map(|&(_, i)| i).collect();
+                let got = reference(&top_k(base, k), &answers, &mut rng_from_seed(seed))
+                    .unwrap()
+                    .into_indices();
+                assert_eq!(got, expect, "k {k}, seed {seed}");
+            }
         }
     }
 }

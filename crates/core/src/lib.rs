@@ -34,74 +34,79 @@
 //! from its privacy proof (Lemma 2 / Lemma 4) so the test-suite can execute
 //! the proof obligations on concrete runs.
 //!
-//! ## Execution paths: one core per mechanism, generic over [`draw::DrawProvider`]
+//! ## One core per mechanism, one way in
 //!
 //! Each mechanism's decision/budget logic exists in **exactly one**
 //! function, generic over the [`draw::DrawProvider`] it draws noise
-//! through; the public entry points only pick the provider:
+//! through, and is reached through [`api::Mechanism::call`]: a
+//! [`api::QuerySlice`] in, a coercible [`api::MechanismOutput`] out. The
+//! execution path is the caller's choice of provider:
 //!
-//! * **`run` / `run_with_source`** — the [`draw::SourceDraws`] adapter over
-//!   `dyn NoiseSource`. This is the path the alignment checker interposes
-//!   on (recording and replaying tapes), and the reference semantics; it is
-//!   strictly draw-exact, so tapes stay draw-for-draw faithful.
-//! * **`run_with_scratch`** — [`draw::ScratchDraws`] (SVT family) or
-//!   [`draw::RngDraws`] (Top-K family): the batched fast path for
-//!   Monte-Carlo and high-traffic serving. Noise is drawn in batches via
-//!   [`free_gap_noise::ContinuousDistribution::fill_into`] (through the
-//!   chunked [`free_gap_noise::BlockBuffer`]), noisy-value buffers live in
-//!   a reusable [`scratch::TopKScratch`] / [`scratch::SvtScratch`], and
-//!   the RNG is a monomorphic generic (no virtual dispatch). Outputs are
-//!   **bit-for-bit identical** to `run` on the same RNG stream; the
-//!   scratch path may consume *more* of the stream (batch lookahead), so
-//!   derive a fresh [`free_gap_noise::rng::derive_stream`] per run. The
-//!   `*_into` variants additionally reuse a caller-owned output, making a
-//!   scratch run fully allocation-free.
-//! * **`run_streaming` / `run_streaming_with_scratch`** (SVT family only)
-//!   — the same cores consuming `impl IntoIterator<Item = f64>` *lazily*,
+//! * [`draw::SourceDraws`] — the adapter over `dyn NoiseSource`. This is
+//!   the path the alignment checker interposes on (recording and
+//!   replaying tapes) and the reference semantics; it is strictly
+//!   draw-exact, so tapes stay draw-for-draw faithful.
+//! * [`draw::RngDraws`] (Top-K family, exponential race) and
+//!   [`draw::ScratchDraws`] (SVT family, staircase) — the batched fast
+//!   paths for Monte-Carlo and high-traffic serving. Noise is drawn in
+//!   batches (through the chunked [`free_gap_noise::BlockBuffer`] for
+//!   `ScratchDraws`), noisy-value buffers live in a reusable
+//!   [`scratch::TopKScratch`] / [`scratch::SvtScratch`], and the RNG is a
+//!   monomorphic generic (no virtual dispatch). Outputs are **bit-for-bit
+//!   identical** to the reference on the same RNG stream; `ScratchDraws`
+//!   may consume *more* of the stream (batch lookahead), so derive a fresh
+//!   [`free_gap_noise::rng::derive_stream`] per run.
+//! * [`draw::ParallelDraws`] — per-block sub-streams filled from scoped
+//!   threads, bit-identical for any thread count.
+//!
+//! [`api::AnyMechanism`] packages the ten grid mechanisms behind one
+//! dispatch enum with the provider-choosing conveniences
+//! [`api::AnyMechanism::call_batched`] (fast path),
+//! [`api::AnyMechanism::call_par`] (parallel path) and
+//! [`api::AnyMechanism::call_reference`] (dyn reference path) — the
+//! surface the benchmark grid and the `free-gap-serve` multi-tenant server
+//! build on. Two shapes sit beside `call`:
+//!
+//! * **lazy streams** — each SVT mechanism's `run_streaming_with_scratch_into`
+//!   (and the exponential race's and staircase measurement's streaming
+//!   twins) runs the same core over `impl IntoIterator<Item = f64>`,
 //!   answering each query as it is pulled and halting the pull the moment
 //!   the mechanism stops (k-th `⊤`, answer limit, or exhausted adaptive
 //!   budget). Queries after the halt are **never observed** — the
-//!   privacy-relevant property of SVT's online form — and outputs are
-//!   bit-identical to the materialized paths on the same RNG stream and
-//!   query sequence.
+//!   privacy-relevant property of SVT's online form;
+//! * **resumable sessions** — [`sparse_vector::ClassicSparseVector::stream_open`] /
+//!   [`sparse_vector::ClassicSparseVector::stream_feed`], whose batched
+//!   feeds are bit-identical to a one-shot streaming run, which is what an
+//!   open server session drives.
 //!
 //! See [`draw`] for the provider contract, [`scratch`] for the buffer
-//! discipline and an example, and [`pipelines::PipelineScratch`] for the
-//! select-then-measure versions. The `repro bench` command in
-//! `free-gap-bench` tracks the speedup (≈1.1× like-for-like, ≈2× with the
-//! [`free_gap_noise::rng::FastRng`] Monte-Carlo generator) and
+//! discipline, and [`pipelines`] for the select-then-measure protocols
+//! (one provider-generic function each). The `repro bench` command in
+//! `free-gap-bench` tracks the speedup of the fast providers and
 //! `repro bench-compare` gates CI on the recorded trajectory.
-//!
-//! ## Unified call surface
-//!
-//! [`api`] packages every grid mechanism behind one request/response
-//! shape: the [`api::Mechanism`] trait (`QuerySlice` in,
-//! [`api::MechanismOutput`] out, noise through any provider) and the
-//! [`api::AnyMechanism`] dispatch enum with the provider-choosing
-//! conveniences [`api::AnyMechanism::call_batched`] (fast path) and
-//! [`api::AnyMechanism::call_reference`] (dyn reference path). The
-//! per-mechanism entry points above remain the ergonomic surface; the
-//! unified one is what uniform callers — the benchmark grid and the
-//! `free-gap-serve` multi-tenant server — build on. The SVT family
-//! additionally exposes a *resumable* streaming form
-//! ([`sparse_vector::ClassicSparseVector::stream_open`] /
-//! [`sparse_vector::ClassicSparseVector::stream_feed`]) whose batched
-//! feeds are bit-identical to a one-shot streaming run, which is what an
-//! open server session drives.
 //!
 //! ## Example
 //!
 //! ```
-//! use free_gap_core::answers::QueryAnswers;
 //! use free_gap_core::noisy_max::NoisyTopKWithGap;
+//! use free_gap_core::{Mechanism, MechanismOutput, QuerySlice, RngDraws, TopKScratch};
 //! use free_gap_noise::rng::rng_from_seed;
 //!
 //! // 5 counting queries, budget ε = 1.0, top-3 with free gaps.
-//! let answers = QueryAnswers::counting(vec![120.0, 40.0, 97.0, 80.0, 3.0]);
+//! let answers = [120.0, 40.0, 97.0, 80.0, 3.0];
 //! let mech = NoisyTopKWithGap::new(3, 1.0, true).unwrap();
-//! let out = mech.run(&answers, &mut rng_from_seed(1)).unwrap();
-//! assert_eq!(out.items.len(), 3);
-//! for item in &out.items {
+//! let mut out = MechanismOutput::Indices(Vec::new()); // coerced by `call`
+//! let mut rng = rng_from_seed(1);
+//! mech.call(
+//!     &QuerySlice::new(&answers),
+//!     &mut RngDraws::new(&mut rng), // the provider picks the path
+//!     &mut TopKScratch::new(),
+//!     &mut out,
+//! )
+//! .unwrap();
+//! let MechanismOutput::TopK(top) = &out else { unreachable!() };
+//! assert_eq!(top.items.len(), 3);
+//! for item in &top.items {
 //!     assert!(item.gap >= 0.0); // gaps are free — and always non-negative
 //! }
 //! ```

@@ -9,12 +9,10 @@
 
 use super::top_k_scale;
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, RngDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
-use rand::rngs::StdRng;
-use rand::Rng;
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 
 /// Index-only Noisy Top-K (Dwork & Roth's Noisy Max generalized to `k`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,111 +76,6 @@ impl ClassicNoisyTopK {
         provider.select_top(&scratch.noisy, self.k, out);
         Ok(())
     }
-
-    /// Runs the mechanism: indices of the `k` largest noisy answers,
-    /// descending (`run_core` through [`SourceDraws`]).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_core(
-            answers.values(),
-            &mut SourceDraws::new(source),
-            &mut TopKScratch::new(),
-            &mut out,
-        )?;
-        Ok(out)
-    }
-
-    /// Runs with a plain RNG.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut StdRng,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Batched, allocation-free fast path (see
-    /// [`NoisyTopKWithGap::run_with_scratch`](crate::noisy_max::NoisyTopKWithGap::run_with_scratch)
-    /// and [`crate::scratch`]). Output is bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_with_scratch_into(answers, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes the selected indices into `out`, reusing its buffer.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), &mut RngDraws::new(rng), scratch, out)
-    }
-
-    /// Intra-run parallel path (see
-    /// [`NoisyTopKWithGap::run_par_with_scratch`](super::NoisyTopKWithGap::run_par_with_scratch)):
-    /// `run_core` through a per-block provider, fill and selection split
-    /// across its threads, bit-identical for any thread count.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-    ) -> Result<Vec<usize>, MechanismError> {
-        let mut out = Vec::new();
-        self.run_par_with_scratch_into(answers, provider, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_par_with_scratch`](Self::run_par_with_scratch).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch_into<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut Vec<usize>,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), provider, scratch, out)
-    }
 }
 
 impl AlignedMechanism for ClassicNoisyTopK {
@@ -190,10 +83,17 @@ impl AlignedMechanism for ClassicNoisyTopK {
     type Output = Vec<usize>;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> Vec<usize> {
+        let mut out = Vec::new();
         #[allow(clippy::expect_used)]
-        self.run_with_source(input, source)
-            // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
-            .expect("alignment checker workloads are pre-validated")
+        self.run_core(
+            input.values(),
+            &mut SourceDraws::new(source),
+            &mut TopKScratch::new(),
+            &mut out,
+        )
+        // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
+        .expect("alignment checker workloads are pre-validated");
+        out
     }
 
     /// Same alignment as the gap variant (Eq. 2) — the proof never used the
@@ -229,33 +129,10 @@ impl AlignedMechanism for ClassicNoisyTopK {
     }
 }
 
-/// Classic Noisy Max: `k = 1`, returns a single index.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassicNoisyMax {
-    inner: ClassicNoisyTopK,
-}
-
-impl ClassicNoisyMax {
-    /// Creates the mechanism (see [`ClassicNoisyTopK::new`]).
-    pub fn new(epsilon: f64, monotonic: bool) -> Result<Self, MechanismError> {
-        Ok(Self {
-            inner: ClassicNoisyTopK::new(1, epsilon, monotonic)?,
-        })
-    }
-
-    /// Runs the mechanism, returning the approximate argmax index.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// 2 queries.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> Result<usize, MechanismError> {
-        Ok(self.inner.run(answers, rng)?[0])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::testing::reference;
     use crate::noisy_max::NoisyTopKWithGap;
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
@@ -278,16 +155,21 @@ mod tests {
         let classic = ClassicNoisyTopK::new(3, 0.7, true).unwrap();
         let with_gap = NoisyTopKWithGap::new(3, 0.7, true).unwrap();
         for seed in 0..50 {
-            let a = classic.run(&workload(), &mut rng_from_seed(seed)).unwrap();
-            let b = with_gap.run(&workload(), &mut rng_from_seed(seed)).unwrap();
+            let a = reference(&classic, &workload(), &mut rng_from_seed(seed))
+                .unwrap()
+                .into_indices();
+            let b = reference(&with_gap, &workload(), &mut rng_from_seed(seed))
+                .unwrap()
+                .into_top_k();
             assert_eq!(a, b.indices(), "seed {seed}");
         }
     }
 
     #[test]
     fn high_epsilon_selects_true_argmax() {
-        let m = ClassicNoisyMax::new(1e6, true).unwrap();
-        assert_eq!(m.run(&workload(), &mut rng_from_seed(1)).unwrap(), 0);
+        let m = ClassicNoisyTopK::new(1, 1e6, true).unwrap();
+        let got = reference(&m, &workload(), &mut rng_from_seed(1)).unwrap();
+        assert_eq!(got.into_indices(), vec![0]);
     }
 
     #[test]
@@ -313,7 +195,7 @@ mod tests {
             let mut rng = rng_from_seed(33);
             (0..2_000)
                 .filter(|_| {
-                    let mut got = m.run(&d, &mut rng).unwrap();
+                    let mut got = reference(&m, &d, &mut rng).unwrap().into_indices();
                     got.sort_unstable();
                     got == truth
                 })

@@ -17,14 +17,12 @@
 //!   because adjacent integer workloads differ by integers.
 
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, RngDraws, SourceDraws};
+use crate::draw::{DrawProvider, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::noisy_max::{TopKItem, TopKOutput};
 use crate::scratch::TopKScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use free_gap_noise::tie::union_tie_bound;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Noisy-Top-K-with-Gap over integer counts with discrete Laplace noise.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,6 +103,8 @@ impl DiscreteNoisyTopKWithGap {
     /// with the `+ q` offset so the `n`-sized buffer is written exactly
     /// once), selection of the top `k + 1`, gap construction. Buffers live
     /// in `scratch`; the output is written into `out`, reusing its buffer.
+    /// Ties among noisy answers are broken by the smaller index; `delta(n)`
+    /// bounds the probability that a tie among the top `k + 1` occurred.
     pub(crate) fn run_core<P: DrawProvider>(
         &self,
         answers: &[f64],
@@ -124,115 +124,6 @@ impl DiscreteNoisyTopKWithGap {
         }));
         Ok(())
     }
-
-    /// Runs the mechanism. Ties among noisy answers are broken by the
-    /// smaller index; `delta(n)` bounds the probability that a tie among
-    /// the top `k + 1` occurred at all.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_core(
-            answers.values(),
-            &mut SourceDraws::new(source),
-            &mut TopKScratch::new(),
-            &mut out,
-        )?;
-        Ok(out)
-    }
-
-    /// Runs with a plain RNG.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut StdRng,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Batched, allocation-free fast path: `run_core` through [`RngDraws`]
-    /// — the whole noisy vector is drawn in one
-    /// [`fill_values_into_offset`](free_gap_noise::DiscreteDistribution::fill_values_into_offset)
-    /// pass with the distribution's `exp`/`ln` normalization hoisted out of
-    /// the loop, buffers live in `scratch`, and the RNG is monomorphic (no
-    /// `dyn` dispatch). Output is bit-identical to [`run`](Self::run) on
-    /// the same RNG stream; see [`crate::scratch`] for the contract.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes into `out`, reusing its `items` buffer across runs.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-        out: &mut TopKOutput,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), &mut RngDraws::new(rng), scratch, out)
-    }
-
-    /// Intra-run parallel path (see
-    /// [`NoisyTopKWithGap::run_par_with_scratch`](crate::noisy_max::NoisyTopKWithGap::run_par_with_scratch)):
-    /// `run_core` through a per-block provider, discrete fill and selection
-    /// split across its threads, bit-identical for any thread count.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_par_with_scratch_into(answers, provider, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_par_with_scratch`](Self::run_par_with_scratch).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch_into<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut TopKOutput,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), provider, scratch, out)
-    }
 }
 
 impl AlignedMechanism for DiscreteNoisyTopKWithGap {
@@ -240,10 +131,17 @@ impl AlignedMechanism for DiscreteNoisyTopKWithGap {
     type Output = TopKOutput;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> TopKOutput {
+        let mut out = TopKOutput { items: Vec::new() };
         #[allow(clippy::expect_used)]
-        self.run_with_source(input, source)
-            // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
-            .expect("alignment checker workloads are pre-validated")
+        self.run_core(
+            input.values(),
+            &mut SourceDraws::new(source),
+            &mut TopKScratch::new(),
+            &mut out,
+        )
+        // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
+        .expect("alignment checker workloads are pre-validated");
+        out
     }
 
     /// Eq. (2) verbatim; all shifts are integer combinations of lattice
@@ -292,6 +190,7 @@ impl AlignedMechanism for DiscreteNoisyTopKWithGap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::testing::reference;
     use crate::noisy_max::NoisyTopKWithGap;
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
@@ -313,7 +212,7 @@ mod tests {
         let m = DiscreteNoisyTopKWithGap::new(3, 1.0, true).unwrap();
         let mut rng = rng_from_seed(1);
         for _ in 0..100 {
-            let out = m.run(&workload(), &mut rng).unwrap();
+            let out = reference(&m, &workload(), &mut rng).unwrap().into_top_k();
             for item in &out.items {
                 assert!(item.gap >= 0.0);
                 assert!(
@@ -345,10 +244,16 @@ mod tests {
         let mut rng = rng_from_seed(2);
         let n = 20_000;
         let d_hits = (0..n)
-            .filter(|_| disc.run(&answers, &mut rng).unwrap().indices() == [0])
+            .filter(|_| {
+                let out = reference(&disc, &answers, &mut rng).unwrap();
+                out.into_top_k().indices() == [0]
+            })
             .count();
         let c_hits = (0..n)
-            .filter(|_| cont.run(&answers, &mut rng).unwrap().indices() == [0])
+            .filter(|_| {
+                let out = reference(&cont, &answers, &mut rng).unwrap();
+                out.into_top_k().indices() == [0]
+            })
             .count();
         let diff = (d_hits as f64 - c_hits as f64).abs() / n as f64;
         assert!(diff < 0.02, "selection rates diverge: {d_hits} vs {c_hits}");

@@ -17,8 +17,7 @@ use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, RngDraws, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
-use rand::rngs::StdRng;
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use rand::Rng;
 
 /// One selected query: its index and the noisy gap to the next-best noisy
@@ -130,64 +129,12 @@ impl NoisyTopKWithGap {
         Ok(())
     }
 
-    /// Runs the mechanism against a noise source
-    /// (`run_core` through the [`SourceDraws`] adapter).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_core(
-            answers.values(),
-            &mut SourceDraws::new(source),
-            &mut TopKScratch::new(),
-            &mut out,
-        )?;
-        Ok(out)
-    }
-
-    /// Runs with a plain RNG (production path, no recording).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut StdRng,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Batched, allocation-free fast path: `run_core`
-    /// through [`RngDraws`] — noise is drawn in one
-    /// [`fill_into_offset`](free_gap_noise::ContinuousDistribution::fill_into_offset)
-    /// pass into `scratch`'s reused buffers and the RNG is monomorphic (no
-    /// `dyn` dispatch). Output is bit-identical to [`run`](Self::run) on the
-    /// same RNG stream; see [`crate::scratch`] for the contract.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries, like [`run_with_source`](Self::run_with_source).
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut TopKScratch,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes into `out`, reusing its `items` buffer across runs.
+    /// Allocation-free `run_core` through [`RngDraws`] into a typed
+    /// [`TopKOutput`], for callers that hold the typed output instead of a
+    /// `MechanismOutput` (the `perfbench` select-then-measure workload
+    /// times the selection stage this way). Equivalent to
+    /// [`Mechanism::call`](crate::api::Mechanism::call) with an
+    /// [`RngDraws`] provider.
     ///
     /// # Errors
     /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
@@ -201,56 +148,6 @@ impl NoisyTopKWithGap {
     ) -> Result<(), MechanismError> {
         self.run_core(answers.values(), &mut RngDraws::new(rng), scratch, out)
     }
-
-    /// Intra-run parallel path: `run_core` through a per-block provider —
-    /// [`ParallelDraws`](crate::draw::ParallelDraws) to split the noise fill
-    /// and Top-K selection across threads, or its sequential reference
-    /// [`BlockSeqDraws`](crate::draw::BlockSeqDraws), which is bit-identical
-    /// for any thread count. Note the run is keyed by the provider's
-    /// `run_seed`, a *different stream* from the single-RNG paths.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_par_with_scratch_into(answers, provider, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocation-free twin of
-    /// [`run_par_with_scratch`](Self::run_par_with_scratch).
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// `k + 1` queries.
-    pub fn run_par_with_scratch_into<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-        out: &mut TopKOutput,
-    ) -> Result<(), MechanismError> {
-        self.run_core(answers.values(), provider, scratch, out)
-    }
-
-    /// Gap-releasing selection through an arbitrary [`DrawProvider`] — the
-    /// hook the select-then-measure pipeline core drives.
-    pub(crate) fn run_provider<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-        scratch: &mut TopKScratch,
-    ) -> Result<TopKOutput, MechanismError> {
-        let mut out = TopKOutput { items: Vec::new() };
-        self.run_core(answers.values(), provider, scratch, &mut out)?;
-        Ok(out)
-    }
 }
 
 impl AlignedMechanism for NoisyTopKWithGap {
@@ -261,10 +158,17 @@ impl AlignedMechanism for NoisyTopKWithGap {
         // The alignment checker's trait is infallible by design (it replays
         // recorded tapes, so the workload was already validated on the
         // recording run); a short workload here is a checker-harness bug.
+        let mut out = TopKOutput { items: Vec::new() };
         #[allow(clippy::expect_used)]
-        self.run_with_source(input, source)
-            // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
-            .expect("alignment checker workloads are pre-validated")
+        self.run_core(
+            input.values(),
+            &mut SourceDraws::new(source),
+            &mut TopKScratch::new(),
+            &mut out,
+        )
+        // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
+        .expect("alignment checker workloads are pre-validated");
+        out
     }
 
     /// Equation (2): identity on losers; winners shifted to preserve margins.
@@ -317,45 +221,10 @@ impl AlignedMechanism for NoisyTopKWithGap {
     }
 }
 
-/// Noisy-Max-with-Gap: the `k = 1` special case of Algorithm 1, returning
-/// the approximate argmax and its margin over the runner-up.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoisyMaxWithGap {
-    inner: NoisyTopKWithGap,
-}
-
-impl NoisyMaxWithGap {
-    /// Creates the mechanism (see [`NoisyTopKWithGap::new`]).
-    pub fn new(epsilon: f64, monotonic: bool) -> Result<Self, MechanismError> {
-        Ok(Self {
-            inner: NoisyTopKWithGap::new(1, epsilon, monotonic)?,
-        })
-    }
-
-    /// Runs the mechanism, returning `(argmax index, gap to runner-up)`.
-    ///
-    /// # Errors
-    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
-    /// 2 queries.
-    pub fn run(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut StdRng,
-    ) -> Result<(usize, f64), MechanismError> {
-        let out = self.inner.run(answers, rng)?;
-        let item = out.items[0];
-        Ok((item.index, item.gap))
-    }
-
-    /// The underlying top-k mechanism (for alignment checking).
-    pub fn as_top_k(&self) -> &NoisyTopKWithGap {
-        &self.inner
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::testing::reference;
     use free_gap_alignment::checker::{check_alignment, check_alignment_many};
     use free_gap_alignment::{AdjacencyModel, Perturbation};
     use free_gap_noise::rng::rng_from_seed;
@@ -380,7 +249,7 @@ mod tests {
         let m = NoisyTopKWithGap::new(3, 1.0, true).unwrap();
         let mut rng = rng_from_seed(5);
         for _ in 0..200 {
-            let out = m.run(&workload(), &mut rng).unwrap();
+            let out = reference(&m, &workload(), &mut rng).unwrap().into_top_k();
             assert_eq!(out.items.len(), 3);
             assert!(out.gaps().iter().all(|&g| g >= 0.0));
             // indices distinct
@@ -396,20 +265,20 @@ mod tests {
         // Regression: this used to panic through `unwrap_or_else(panic!)`;
         // a user-reachable workload shape must surface as a typed error.
         let m = NoisyTopKWithGap::new(5, 1.0, true).unwrap();
-        let err = m
-            .run(&QueryAnswers::counting(vec![1.0; 5]), &mut rng_from_seed(1))
-            .unwrap_err();
+        let short = QueryAnswers::counting(vec![1.0; 5]);
+        let err = reference(&m, &short, &mut rng_from_seed(1)).unwrap_err();
         assert!(matches!(
             err,
             crate::error::MechanismError::NotEnoughQueries { need: 6, got: 5 }
         ));
         // The scratch fast path fails identically.
-        let m2 = NoisyTopKWithGap::new(5, 1.0, true).unwrap();
-        assert!(m2
-            .run_with_scratch(
-                &QueryAnswers::counting(vec![1.0; 5]),
+        let mut out = TopKOutput { items: Vec::new() };
+        assert!(m
+            .run_with_scratch_into(
+                &short,
                 &mut rng_from_seed(1),
                 &mut TopKScratch::new(),
+                &mut out,
             )
             .is_err());
     }
@@ -417,7 +286,9 @@ mod tests {
     #[test]
     fn high_epsilon_recovers_true_ranking() {
         let m = NoisyTopKWithGap::new(2, 1e6, true).unwrap();
-        let out = m.run(&workload(), &mut rng_from_seed(3)).unwrap();
+        let out = reference(&m, &workload(), &mut rng_from_seed(3))
+            .unwrap()
+            .into_top_k();
         assert_eq!(out.indices(), vec![0, 2]);
         // gaps approach the true margins 5 and 15
         assert!((out.items[0].gap - 5.0).abs() < 0.1);
@@ -433,7 +304,7 @@ mod tests {
         let mut rng = rng_from_seed(11);
         let mut g0 = RunningMoments::new();
         for _ in 0..20_000 {
-            let out = m.run(&workload(), &mut rng).unwrap();
+            let out = reference(&m, &workload(), &mut rng).unwrap().into_top_k();
             if out.indices() == vec![0, 2] {
                 g0.push(out.items[0].gap);
             }
@@ -508,15 +379,6 @@ mod tests {
             max > 0.9 - 1e-9,
             "expected a run that attains ε, best was {max}"
         );
-    }
-
-    #[test]
-    fn noisy_max_with_gap_wraps_k1() {
-        let m = NoisyMaxWithGap::new(1.0, true).unwrap();
-        let (idx, gap) = m.run(&workload(), &mut rng_from_seed(2)).unwrap();
-        assert!(idx < 6);
-        assert!(gap >= 0.0);
-        assert_eq!(m.as_top_k().k(), 1);
     }
 
     proptest! {

@@ -6,9 +6,9 @@ mod discrete;
 mod gap;
 mod pairwise;
 
-pub use classic::{ClassicNoisyMax, ClassicNoisyTopK};
+pub use classic::ClassicNoisyTopK;
 pub use discrete::DiscreteNoisyTopKWithGap;
-pub use gap::{NoisyMaxWithGap, NoisyTopKWithGap, TopKItem, TopKOutput};
+pub use gap::{NoisyTopKWithGap, TopKItem, TopKOutput};
 pub use pairwise::{pairwise_gap, pairwise_gap_variance};
 
 /// Indices of the `m` largest values, descending; ties broken by the smaller
@@ -18,18 +18,8 @@ pub use pairwise::{pairwise_gap, pairwise_gap_variance};
 /// Insertion into a small sorted buffer: `O(n·m)` with tiny constants, which
 /// beats a full sort for the paper's `m = k + 1 ≤ 26` against `n` up to
 /// 41,270 (Kosarak).
-///
-/// Every mechanism path now goes through the allocation-free
-/// [`top_indices_into`]; this allocating wrapper remains for the tests.
-#[cfg(test)]
-pub(crate) fn top_indices(values: &[f64], m: usize) -> Vec<usize> {
-    let mut buf = Vec::new();
-    top_indices_into(values, m, &mut buf);
-    buf
-}
-
-/// [`top_indices`] writing into a caller-owned buffer — the allocation-free
-/// form used by the scratch fast paths. `buf` is cleared first.
+/// Writes into the caller-owned `buf` (cleared first), so the mechanism
+/// cores stay allocation-free.
 #[inline]
 pub(crate) fn top_indices_into(values: &[f64], m: usize, buf: &mut Vec<usize>) {
     buf.clear();
@@ -128,6 +118,12 @@ pub(crate) fn top_k_scale(k: usize, epsilon: f64, monotonic: bool) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn top_indices(values: &[f64], m: usize) -> Vec<usize> {
+        let mut buf = Vec::new();
+        top_indices_into(values, m, &mut buf);
+        buf
+    }
 
     #[test]
     fn top_indices_basic() {

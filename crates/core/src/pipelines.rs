@@ -1,12 +1,14 @@
 //! End-to-end select-then-measure pipelines — the protocol of the paper's
 //! §7.2 experiments.
 //!
-//! Both pipelines split the total budget in half: selection (with free
-//! gaps) gets `ε/2`, direct measurement of the selected queries gets the
-//! other `ε/2` (divided evenly among them). The free gap information is
-//! then folded into the measurements by postprocessing:
+//! Both pipelines split the total budget between selection (with free
+//! gaps) and direct measurement of the selected queries (divided evenly
+//! among them). The free gap information is then folded into the
+//! measurements by postprocessing:
 //!
 //! * [`topk_select_measure`] — Noisy-Top-K-with-Gap + BLUE (Theorem 3);
+//! * [`topk_select_measure_staircase`] — the same with staircase
+//!   measurement noise (§3.1);
 //! * [`svt_select_measure`] — Sparse-Vector-with-Gap + inverse-variance
 //!   combination (§6.2).
 //!
@@ -14,35 +16,32 @@
 //! analyst unaware of the free gaps would use; the experiments compare its
 //! MSE against the postprocessed estimates.
 //!
-//! Like the mechanisms themselves, each pipeline is **one core** generic
-//! over [`DrawProvider`] — the protocol wiring (budget split, measurement
-//! scale convention, the BLUE `λ` formula, inverse-variance weights) exists
-//! once, and the dyn/scratch entry points only pick the provider.
+//! Like the mechanisms themselves, each pipeline is **one function**
+//! generic over [`DrawProvider`] — the protocol wiring (budget split,
+//! measurement scale convention, the BLUE `λ` formula, inverse-variance
+//! weights) exists once, and the caller picks the provider.
+//! [`topk_select_measure_scratch`] is the Monte-Carlo shorthand the
+//! figure loops drive: the §5.2 protocol through [`RngDraws`].
 
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, RngDraws, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, RngDraws};
 use crate::error::MechanismError;
 use crate::laplace_mech::LaplaceMechanism;
-use crate::noisy_max::NoisyTopKWithGap;
+use crate::noisy_max::{NoisyTopKWithGap, TopKOutput};
 use crate::postprocess::blue::{blue_estimates, BlueInput};
 use crate::postprocess::weighted::{combine_gap_with_measurement, topk_lambda_for_even_split};
-use crate::scratch::{SvtScratch, TopKScratch};
-use crate::sparse_vector::SparseVectorWithGap;
+use crate::scratch::TopKScratch;
+use crate::sparse_vector::{SparseVectorWithGap, SvOutput};
 use crate::staircase_mech::StaircaseMechanism;
-use free_gap_alignment::SamplingSource;
 use free_gap_noise::ContinuousDistribution;
-use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Reusable buffers for the select-then-measure pipelines' batched fast
-/// paths ([`topk_select_measure_scratch`], [`svt_select_measure_scratch`]).
-///
-/// One instance per Monte-Carlo worker thread; see [`crate::scratch`] for
-/// the equivalence contract.
+/// Reusable buffers for [`topk_select_measure_scratch`]: one instance per
+/// Monte-Carlo worker thread; see [`crate::scratch`] for the buffer
+/// discipline.
 #[derive(Debug, Default, Clone)]
 pub struct PipelineScratch {
     topk: TopKScratch,
-    svt: SvtScratch,
 }
 
 impl PipelineScratch {
@@ -67,19 +66,37 @@ pub struct TopKPipelineResult {
     pub truths: Vec<f64>,
 }
 
-/// The single copy of the §5.2 protocol, generic over the [`DrawProvider`]:
-/// Noisy-Top-K-with-Gap at `f·ε`, Laplace measurement of the selected
-/// queries at `(1-f)·ε` shared evenly (the `measure_split` convention),
-/// BLUE postprocessing. The BLUE λ adapts: with monotone factor `c`
-/// (1 monotone, 2 general), the gap-noise scale is `c·k/(fε)` and the
-/// measurement scale `k/((1-f)ε)`, so `λ = (c(1-f)/f)²` — the paper's
-/// `λ = 1`/`λ = 4` at `f = 1/2`.
+/// Gap-releasing Top-K selection through `provider`, plus the true
+/// answers of the selected queries.
+fn select_top_k<P: DrawProvider>(
+    selector: &NoisyTopKWithGap,
+    answers: &QueryAnswers,
+    provider: &mut P,
+    scratch: &mut TopKScratch,
+) -> Result<(TopKOutput, Vec<f64>), MechanismError> {
+    let mut selection = TopKOutput { items: Vec::new() };
+    selector.run_core(answers.values(), provider, scratch, &mut selection)?;
+    let truths = selection
+        .items
+        .iter()
+        .map(|it| answers.values()[it.index])
+        .collect();
+    Ok((selection, truths))
+}
+
+/// The §5.2 protocol, generic over the [`DrawProvider`]:
+/// Noisy-Top-K-with-Gap at `f·ε` (`f = select_fraction`; the paper fixes
+/// `f = 1/2`, the budget-split ablation varies it), Laplace measurement of
+/// the selected queries at `(1-f)·ε` shared evenly, BLUE postprocessing.
+/// The BLUE λ adapts: with monotone factor `c` (1 monotone, 2 general), the
+/// gap-noise scale is `c·k/(fε)` and the measurement scale `k/((1-f)ε)`, so
+/// `λ = (c(1-f)/f)²` — the paper's `λ = 1`/`λ = 4` at `f = 1/2`.
 ///
 /// Selection and measurement draw through the *same* provider in order
-/// (`n` selection draws, then up to `k` measurement draws), so the dyn and
-/// scratch paths stay bit-identical on the same RNG stream — the Top-K
-/// draw count is data-independent.
-fn topk_select_measure_core<P: DrawProvider>(
+/// (`n` selection draws, then `k` measurement draws). The Top-K draw count
+/// is data-independent, so every draw-exact provider ([`SourceDraws`](crate::draw::SourceDraws),
+/// [`RngDraws`]) gives bit-identical results on the same RNG stream.
+pub fn topk_select_measure<P: DrawProvider>(
     answers: &QueryAnswers,
     k: usize,
     epsilon: f64,
@@ -92,9 +109,7 @@ fn topk_select_measure_core<P: DrawProvider>(
     let selector = NoisyTopKWithGap::new(k, f * epsilon, answers.monotonic())?;
     let measurer = LaplaceMechanism::new((1.0 - f) * epsilon)?;
 
-    let selection = selector.run_provider(answers, provider, scratch)?;
-    let indices = selection.indices();
-    let truths: Vec<f64> = indices.iter().map(|&i| answers.values()[i]).collect();
+    let (selection, truths) = select_top_k(&selector, answers, provider, scratch)?;
 
     // measure_split's convention: ε shared evenly across the k measurements.
     let meas_scale = measurer.scale() * truths.len().max(1) as f64;
@@ -116,7 +131,7 @@ fn topk_select_measure_core<P: DrawProvider>(
     })?;
 
     Ok(TopKPipelineResult {
-        indices,
+        indices: selection.indices(),
         gaps,
         measurements,
         blue,
@@ -124,43 +139,9 @@ fn topk_select_measure_core<P: DrawProvider>(
     })
 }
 
-/// Runs the §5.2 protocol: Noisy-Top-K-with-Gap at `ε/2`, Laplace
-/// measurement of the selected queries at `ε/2`, BLUE postprocessing.
-pub fn topk_select_measure(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    rng: &mut StdRng,
-) -> Result<TopKPipelineResult, MechanismError> {
-    topk_select_measure_with_split(answers, k, epsilon, 0.5, rng)
-}
-
-/// The §5.2 protocol with an adjustable budget split (`select_fraction` of
-/// `epsilon` goes to selection, the rest to measurement); used by the
-/// budget-split ablation (the paper fixes `f = 1/2`). See
-/// `topk_select_measure_core` for the λ adaptation.
-pub fn topk_select_measure_with_split(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    select_fraction: f64,
-    rng: &mut StdRng,
-) -> Result<TopKPipelineResult, MechanismError> {
-    let mut source = SamplingSource::new(rng);
-    topk_select_measure_core(
-        answers,
-        k,
-        epsilon,
-        select_fraction,
-        &mut SourceDraws::new(&mut source),
-        &mut TopKScratch::new(),
-    )
-}
-
-/// Batched fast path of [`topk_select_measure`]: selection and measurement
-/// noise are drawn via the scratch buffers and a monomorphic RNG. The result
-/// is bit-identical to the allocating pipeline on the same RNG stream (both
-/// draw exactly `n + k` Laplace variates in the same order).
+/// The §5.2 protocol at the paper's `f = 1/2` split through [`RngDraws`]
+/// (batched noise, reused buffers, monomorphic RNG) — the Monte-Carlo
+/// loops' shorthand for [`topk_select_measure`].
 pub fn topk_select_measure_scratch<R: Rng + ?Sized>(
     answers: &QueryAnswers,
     k: usize,
@@ -168,24 +149,11 @@ pub fn topk_select_measure_scratch<R: Rng + ?Sized>(
     rng: &mut R,
     scratch: &mut PipelineScratch,
 ) -> Result<TopKPipelineResult, MechanismError> {
-    topk_select_measure_with_split_scratch(answers, k, epsilon, 0.5, rng, scratch)
-}
-
-/// Batched fast path of [`topk_select_measure_with_split`]; see
-/// [`topk_select_measure_scratch`].
-pub fn topk_select_measure_with_split_scratch<R: Rng + ?Sized>(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    select_fraction: f64,
-    rng: &mut R,
-    scratch: &mut PipelineScratch,
-) -> Result<TopKPipelineResult, MechanismError> {
-    topk_select_measure_core(
+    topk_select_measure(
         answers,
         k,
         epsilon,
-        select_fraction,
+        0.5,
         &mut RngDraws::new(rng),
         &mut scratch.topk,
     )
@@ -195,12 +163,14 @@ pub fn topk_select_measure_with_split_scratch<R: Rng + ?Sized>(
 /// §3.1 in place of Laplace: selection (and its free gaps) is the unchanged
 /// Laplace-noised Algorithm 1 at `ε/2`, while the direct measurements of
 /// the selected queries carry staircase noise at `ε/2` split evenly
-/// (the [`StaircaseMechanism::measure_split`] convention, drawn through the
-/// provider's [`staircase_fill_offset`](DrawProvider::staircase_fill_offset)
-/// shape — four uniforms per measurement). BLUE is variance-weighted, so
-/// `λ` adapts to the actual ratio `Var(selection noise)/Var(staircase
-/// noise)` instead of the fixed Laplace-vs-Laplace constants.
-fn topk_select_measure_staircase_core<P: DrawProvider>(
+/// (drawn through the provider's
+/// [`staircase_fill_offset`](DrawProvider::staircase_fill_offset) shape —
+/// four uniforms per measurement). BLUE is variance-weighted, so `λ`
+/// adapts to the actual ratio `Var(selection noise)/Var(staircase noise)`
+/// instead of the fixed Laplace-vs-Laplace constants. Draw counts are
+/// data-independent (`n` Laplace + `4k` staircase uniforms), so draw-exact
+/// providers agree bit for bit.
+pub fn topk_select_measure_staircase<P: DrawProvider>(
     answers: &QueryAnswers,
     k: usize,
     epsilon: f64,
@@ -212,9 +182,7 @@ fn topk_select_measure_staircase_core<P: DrawProvider>(
     let selector = NoisyTopKWithGap::new(k, half, answers.monotonic())?;
     let measurer = StaircaseMechanism::new(half)?;
 
-    let selection = selector.run_provider(answers, provider, scratch)?;
-    let indices = selection.indices();
-    let truths: Vec<f64> = indices.iter().map(|&i| answers.values()[i]).collect();
+    let (selection, truths) = select_top_k(&selector, answers, provider, scratch)?;
 
     let noise = measurer.noise_for_batch(k)?;
     let mut measurements = Vec::new();
@@ -222,7 +190,7 @@ fn topk_select_measure_staircase_core<P: DrawProvider>(
 
     // BLUE's λ is the per-draw noise-variance ratio (selection vs
     // measurement); for Laplace-vs-Laplace it collapses to the
-    // `(c(1-f)/f)²` constants of `topk_select_measure_core`.
+    // `(c(1-f)/f)²` constants of `topk_select_measure`.
     let sel_scale = selector.scale();
     let lambda = 2.0 * sel_scale * sel_scale / noise.variance();
 
@@ -234,50 +202,12 @@ fn topk_select_measure_staircase_core<P: DrawProvider>(
     })?;
 
     Ok(TopKPipelineResult {
-        indices,
+        indices: selection.indices(),
         gaps,
         measurements,
         blue,
         truths,
     })
-}
-
-/// Runs the §5.2 protocol with staircase measurement noise (§3.1): the
-/// drop-in-replacement pipeline the paper's related-work discussion
-/// sketches. Selection and its free gaps are unchanged.
-pub fn topk_select_measure_staircase(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    rng: &mut StdRng,
-) -> Result<TopKPipelineResult, MechanismError> {
-    let mut source = SamplingSource::new(rng);
-    topk_select_measure_staircase_core(
-        answers,
-        k,
-        epsilon,
-        &mut SourceDraws::new(&mut source),
-        &mut TopKScratch::new(),
-    )
-}
-
-/// Batched fast path of [`topk_select_measure_staircase`]. Draw counts are
-/// data-independent (`n` Laplace + `4k` staircase uniforms), so the result
-/// is bit-identical to the allocating pipeline on the same RNG stream.
-pub fn topk_select_measure_staircase_scratch<R: Rng + ?Sized>(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    rng: &mut R,
-    scratch: &mut PipelineScratch,
-) -> Result<TopKPipelineResult, MechanismError> {
-    topk_select_measure_staircase_core(
-        answers,
-        k,
-        epsilon,
-        &mut RngDraws::new(rng),
-        &mut scratch.topk,
-    )
 }
 
 /// Result of the SVT select-then-measure pipeline.
@@ -295,19 +225,22 @@ pub struct SvtPipelineResult {
     pub truths: Vec<f64>,
 }
 
-/// The single copy of the §6.2 protocol, generic over the [`DrawProvider`]:
+/// The §6.2 protocol, generic over the [`DrawProvider`]:
 /// Sparse-Vector-with-Gap at `ε/2` (optimal internal split), Laplace
 /// measurement at `ε/2` over `k` queries (sized for `k` even if fewer were
 /// answered — the analyst commits to the split before seeing the
 /// selection), inverse-variance combination.
 ///
 /// Unlike Top-K, SVT's draw count is data-dependent, so the *measurement*
-/// noise path is a parameter: the dyn entry measures through the same
-/// provider (sequential stream), while the scratch entry measures from a
-/// sub-stream derived before the over-drawing selection (stream
-/// discipline) — the provider is handed back to `measure` after the
-/// selection completes.
-fn svt_select_measure_core<P: DrawProvider>(
+/// noise source is the caller's choice: `measure(provider, truths, scale)`
+/// returns `truths` plus `Lap(scale)` noise, and runs after the selection
+/// completes. A draw-exact provider can measure through itself
+/// (`provider.fill_offset`, the sequential stream). A provider that buffers
+/// lookahead ([`ScratchDraws`](crate::draw::ScratchDraws)) must instead
+/// measure from a sub-stream split off *before* the selection (stream
+/// discipline, see [`crate::scratch`]), so the selection's
+/// history-dependent lookahead cannot shift the measurements.
+pub fn svt_select_measure<P: DrawProvider>(
     answers: &QueryAnswers,
     k: usize,
     epsilon: f64,
@@ -319,7 +252,8 @@ fn svt_select_measure_core<P: DrawProvider>(
     let selector = SparseVectorWithGap::new(k, half, threshold, answers.monotonic())?;
     let measurer = LaplaceMechanism::new(half)?;
 
-    let selection = selector.run_provider(answers, provider);
+    let mut selection = SvOutput { above: Vec::new() };
+    selector.run_values_core(answers.values(), provider, &mut selection);
     let pairs = selection.gaps();
     let indices: Vec<usize> = pairs.iter().map(|(i, _)| *i).collect();
     let gaps: Vec<f64> = pairs.iter().map(|(_, g)| *g).collect();
@@ -345,74 +279,70 @@ fn svt_select_measure_core<P: DrawProvider>(
     })
 }
 
-/// Runs the §6.2 protocol: Sparse-Vector-with-Gap at `ε/2` (optimal internal
-/// split), Laplace measurement at `ε/2` over `k` queries, inverse-variance
-/// combination.
-pub fn svt_select_measure(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    threshold: f64,
-    rng: &mut StdRng,
-) -> Result<SvtPipelineResult, MechanismError> {
-    let mut source = SamplingSource::new(rng);
-    let mut provider = SourceDraws::new(&mut source);
-    svt_select_measure_core(
-        answers,
-        k,
-        epsilon,
-        threshold,
-        &mut provider,
-        |p, truths, scale| {
-            let mut out = Vec::new();
-            p.fill_offset(truths, scale, &mut out);
-            out
-        },
-    )
-}
-
-/// Batched fast path of [`svt_select_measure`]: the SVT selection draws
-/// from the scratch's chunked unit-noise buffer and the measurements are one
-/// batched `fill_into_offset` pass.
-///
-/// Unlike the Top-K pipeline, SVT's draw count is data-dependent, so the
-/// scratch path consumes the RNG stream differently from the sequential
-/// path (buffered chunks) — per-run outputs are equal in distribution, not
-/// bit-identical. The measurement stream is derived from `rng` *before* the
-/// selection so the selection's history-dependent lookahead cannot shift the
-/// measurements: outputs are a pure function of the stream handed in. Use a
-/// fresh derived stream per run, as with every scratch entry point.
-pub fn svt_select_measure_scratch<R: Rng + ?Sized>(
-    answers: &QueryAnswers,
-    k: usize,
-    epsilon: f64,
-    threshold: f64,
-    rng: &mut R,
-    scratch: &mut PipelineScratch,
-) -> Result<SvtPipelineResult, MechanismError> {
-    // Sub-stream for measurement, split off before the over-drawing
-    // selection (see the stream discipline in [`crate::scratch`]).
-    let mut meas_rng = free_gap_noise::rng::rng_from_seed(rng.gen::<u64>());
-    let mut provider = ScratchDraws::new(&mut scratch.svt, rng);
-    svt_select_measure_core(
-        answers,
-        k,
-        epsilon,
-        threshold,
-        &mut provider,
-        move |_selection_provider, truths, scale| {
-            let mut out = Vec::new();
-            RngDraws::new(&mut meas_rng).fill_offset(truths, scale, &mut out);
-            out
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draw::{ScratchDraws, SourceDraws};
+    use crate::scratch::SvtScratch;
+    use free_gap_alignment::SamplingSource;
     use free_gap_noise::rng::rng_from_seed;
     use free_gap_noise::stats::RunningMoments;
+    use rand::rngs::StdRng;
+
+    /// The §5.2 protocol on the dyn reference path.
+    fn topk_dyn(
+        answers: &QueryAnswers,
+        k: usize,
+        epsilon: f64,
+        rng: &mut StdRng,
+    ) -> Result<TopKPipelineResult, MechanismError> {
+        let mut source = SamplingSource::new(rng);
+        let mut provider = SourceDraws::new(&mut source);
+        topk_select_measure(
+            answers,
+            k,
+            epsilon,
+            0.5,
+            &mut provider,
+            &mut TopKScratch::new(),
+        )
+    }
+
+    fn staircase_dyn(
+        answers: &QueryAnswers,
+        k: usize,
+        epsilon: f64,
+        rng: &mut StdRng,
+    ) -> Result<TopKPipelineResult, MechanismError> {
+        let mut source = SamplingSource::new(rng);
+        let mut provider = SourceDraws::new(&mut source);
+        topk_select_measure_staircase(answers, k, epsilon, &mut provider, &mut TopKScratch::new())
+    }
+
+    /// The §6.2 protocol on the dyn reference path: measurements drawn
+    /// through the selection provider, continuing its stream.
+    fn svt_dyn(
+        answers: &QueryAnswers,
+        k: usize,
+        epsilon: f64,
+        threshold: f64,
+        rng: &mut StdRng,
+    ) -> Result<SvtPipelineResult, MechanismError> {
+        let mut source = SamplingSource::new(rng);
+        let mut provider = SourceDraws::new(&mut source);
+        svt_select_measure(
+            answers,
+            k,
+            epsilon,
+            threshold,
+            &mut provider,
+            |p, truths, scale| {
+                let mut out = Vec::new();
+                p.fill_offset(truths, scale, &mut out);
+                out
+            },
+        )
+    }
 
     fn workload() -> QueryAnswers {
         QueryAnswers::counting(vec![
@@ -423,7 +353,7 @@ mod tests {
     #[test]
     fn topk_pipeline_shapes() {
         let mut rng = rng_from_seed(1);
-        let r = topk_select_measure(&workload(), 4, 1.0, &mut rng).unwrap();
+        let r = topk_dyn(&workload(), 4, 1.0, &mut rng).unwrap();
         assert_eq!(r.indices.len(), 4);
         assert_eq!(r.gaps.len(), 4);
         assert_eq!(r.measurements.len(), 4);
@@ -440,7 +370,7 @@ mod tests {
         let mut mse_blue = RunningMoments::new();
         let mut mse_meas = RunningMoments::new();
         for _ in 0..4_000 {
-            let r = topk_select_measure(&workload(), k, 1.0, &mut rng).unwrap();
+            let r = topk_dyn(&workload(), k, 1.0, &mut rng).unwrap();
             for i in 0..k {
                 mse_blue.push((r.blue[i] - r.truths[i]).powi(2));
                 mse_meas.push((r.measurements[i] - r.truths[i]).powi(2));
@@ -458,7 +388,7 @@ mod tests {
         let mut mse_blue = RunningMoments::new();
         let mut mse_meas = RunningMoments::new();
         for _ in 0..4_000 {
-            let r = topk_select_measure_staircase(&workload(), k, 2.0, &mut rng).unwrap();
+            let r = staircase_dyn(&workload(), k, 2.0, &mut rng).unwrap();
             assert_eq!(r.indices.len(), k);
             assert_eq!(r.measurements.len(), k);
             assert_eq!(r.blue.len(), k);
@@ -481,16 +411,14 @@ mod tests {
     fn staircase_scratch_pipeline_is_bit_identical() {
         // Data-independent draw counts: the scratch path reproduces the
         // allocating staircase pipeline exactly.
-        let mut scratch = PipelineScratch::new();
+        let mut scratch = TopKScratch::new();
         for seed in 0..50 {
-            let expect =
-                topk_select_measure_staircase(&workload(), 4, 1.0, &mut rng_from_seed(seed))
-                    .unwrap();
-            let got = topk_select_measure_staircase_scratch(
+            let expect = staircase_dyn(&workload(), 4, 1.0, &mut rng_from_seed(seed)).unwrap();
+            let got = topk_select_measure_staircase(
                 &workload(),
                 4,
                 1.0,
-                &mut rng_from_seed(seed),
+                &mut RngDraws::new(&mut rng_from_seed(seed)),
                 &mut scratch,
             )
             .unwrap();
@@ -506,7 +434,7 @@ mod tests {
         let mut mse_comb = RunningMoments::new();
         let mut mse_meas = RunningMoments::new();
         for _ in 0..4_000 {
-            let r = svt_select_measure(&workload(), k, 1.0, threshold, &mut rng).unwrap();
+            let r = svt_dyn(&workload(), k, 1.0, threshold, &mut rng).unwrap();
             assert!(r.indices.len() <= k);
             for i in 0..r.indices.len() {
                 mse_comb.push((r.combined[i] - r.truths[i]).powi(2));
@@ -522,7 +450,7 @@ mod tests {
     fn rejects_undersized_workloads() {
         let mut rng = rng_from_seed(4);
         let small = QueryAnswers::counting(vec![1.0, 2.0]);
-        assert!(topk_select_measure(&small, 2, 1.0, &mut rng).is_err());
+        assert!(topk_dyn(&small, 2, 1.0, &mut rng).is_err());
         let mut scratch = PipelineScratch::new();
         assert!(topk_select_measure_scratch(&small, 2, 1.0, &mut rng, &mut scratch).is_err());
     }
@@ -533,8 +461,7 @@ mod tests {
         // the scratch path reproduces the allocating path exactly.
         let mut scratch = PipelineScratch::new();
         for seed in 0..50 {
-            let expect =
-                topk_select_measure(&workload(), 4, 1.0, &mut rng_from_seed(seed)).unwrap();
+            let expect = topk_dyn(&workload(), 4, 1.0, &mut rng_from_seed(seed)).unwrap();
             let got = topk_select_measure_scratch(
                 &workload(),
                 4,
@@ -554,13 +481,20 @@ mod tests {
         let k = 5;
         let threshold = 300.0;
         let mut rng = rng_from_seed(8);
-        let mut scratch = PipelineScratch::new();
+        let mut scratch = SvtScratch::new();
         let mut mse_comb = RunningMoments::new();
         let mut mse_meas = RunningMoments::new();
         for _ in 0..4_000 {
-            let r =
-                svt_select_measure_scratch(&workload(), k, 1.0, threshold, &mut rng, &mut scratch)
-                    .unwrap();
+            // Measurement sub-stream split off before the over-drawing
+            // selection (stream discipline).
+            let mut meas_rng = rng_from_seed(rng.gen::<u64>());
+            let mut provider = ScratchDraws::new(&mut scratch, &mut rng);
+            let r = svt_select_measure(&workload(), k, 1.0, threshold, &mut provider, |_, t, s| {
+                let mut out = Vec::new();
+                RngDraws::new(&mut meas_rng).fill_offset(t, s, &mut out);
+                out
+            })
+            .unwrap();
             for i in 0..r.indices.len() {
                 mse_comb.push((r.combined[i] - r.truths[i]).powi(2));
                 mse_meas.push((r.measurements[i] - r.truths[i]).powi(2));

@@ -68,6 +68,7 @@ pub fn gap_confidence(
 mod tests {
     use super::*;
     use crate::answers::QueryAnswers;
+    use crate::api::testing::reference;
     use crate::sparse_vector::SparseVectorWithGap;
     use free_gap_noise::rng::rng_from_seed;
 
@@ -108,7 +109,7 @@ mod tests {
         let mut covered = 0usize;
         let mut total = 0usize;
         for _ in 0..40_000 {
-            let out = m.run(&answers, &mut rng);
+            let out = reference(&m, &answers, &mut rng).unwrap().into_sv();
             if let Some((_, gap)) = out.gaps().first() {
                 total += 1;
                 if gap + threshold - t90 <= truth {

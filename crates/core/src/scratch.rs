@@ -1,16 +1,19 @@
 //! Reusable scratch buffers for the allocation-free mechanism fast paths.
 //!
-//! The `run` methods on each mechanism draw noise through `dyn NoiseSource`
-//! — one virtual call and one `Laplace::new` per draw — and allocate a fresh
-//! noisy-value vector per run. That is the right shape for the alignment
-//! checker (which must interpose on every draw), but it is pure overhead for
-//! Monte-Carlo loops that execute the same mechanism tens of thousands of
-//! times on workloads with up to ~100k queries (§7 of the paper).
+//! The reference provider, [`SourceDraws`](crate::draw::SourceDraws), draws
+//! noise through `dyn NoiseSource` — one virtual call and one
+//! distribution construction per draw. That is the right shape for the
+//! alignment checker (which must interpose on every draw), but it is pure
+//! overhead for Monte-Carlo loops that execute the same mechanism tens of
+//! thousands of times on workloads with up to ~100k queries (§7 of the
+//! paper).
 //!
-//! The `run_with_scratch` entry points take one of the scratch types below
-//! and a plain [`rand::Rng`]; they feed the mechanism's single
-//! [`DrawProvider`](crate::draw::DrawProvider)-generic core through
-//! [`ScratchDraws`](crate::draw::ScratchDraws), so that:
+//! The fast providers feed the same mechanism core
+//! ([`Mechanism::call`](crate::api::Mechanism::call)) with the buffers
+//! below and a plain [`rand::Rng`] — [`RngDraws`](crate::draw::RngDraws)
+//! for the Top-K family with its buffers in a [`TopKScratch`],
+//! [`ScratchDraws`](crate::draw::ScratchDraws) over an [`SvtScratch`] noise
+//! tape for the SVT family and the staircase measurement — so that:
 //!
 //! * noise is drawn **in batches** via
 //!   [`ContinuousDistribution::fill_into`](free_gap_noise::ContinuousDistribution::fill_into),
@@ -19,18 +22,18 @@
 //! * the RNG is a **monomorphic** generic parameter, so the whole inner loop
 //!   inlines — no `dyn` dispatch anywhere.
 //!
-//! Outputs are guaranteed **bit-for-bit identical** to the corresponding
-//! allocating path run against the same RNG stream (asserted by the
-//! `scratch_equivalence` test-suite). The SVT mechanisms' streaming entry
-//! points (`run_streaming_with_scratch`) share the same scratch: lookahead
+//! Outputs are guaranteed **bit-for-bit identical** across providers on the
+//! same RNG stream (asserted by the `scratch_equivalence` test-suite). The
+//! SVT mechanisms' lazy streaming entries
+//! (`run_streaming_with_scratch_into`) share the same scratch: lookahead
 //! applies to *noise* only — query answers are pulled strictly on demand
 //! and never buffered ahead of the mechanism's halting point.
 //!
 //! ## Stream discipline
 //!
-//! An [`SvtScratch`] entry point buffers lookahead from the stream it is
-//! given, and *how much* depends on the scratch's consumption history (the
-//! prediction that sizes its batches). Outputs are unaffected — they depend
+//! A [`ScratchDraws`](crate::draw::ScratchDraws) run buffers lookahead
+//! from the stream it is given, and *how much* depends on the scratch's
+//! consumption history (the prediction that sizes its batches). Outputs are unaffected — they depend
 //! only on the draws actually served — but the stream's final position is
 //! not reproducible across scratch histories. Two rules keep everything
 //! deterministic:
@@ -42,24 +45,25 @@
 //!    seed one from a `rng.gen::<u64>()` drawn up front) instead of running
 //!    them back-to-back on a shared stream.
 //!
-//! [`TopKScratch`] draws exactly `n` variates (no lookahead), so it is
-//! exempt from rule 2 — which is what lets the Top-K pipeline stay
+//! [`RngDraws`](crate::draw::RngDraws) draws exactly `n` variates (no
+//! lookahead), so it is exempt from rule 2 — which is what lets the Top-K pipeline stay
 //! bit-identical end-to-end.
 //!
 //! ```
-//! use free_gap_core::answers::QueryAnswers;
 //! use free_gap_core::noisy_max::NoisyTopKWithGap;
-//! use free_gap_core::scratch::TopKScratch;
+//! use free_gap_core::{Mechanism, MechanismOutput, QuerySlice, RngDraws, TopKScratch};
 //! use free_gap_noise::rng::derive_stream;
 //!
-//! let answers = QueryAnswers::counting(vec![120.0, 40.0, 97.0, 80.0, 3.0]);
+//! let answers = [120.0, 40.0, 97.0, 80.0, 3.0];
 //! let mech = NoisyTopKWithGap::new(3, 1.0, true).unwrap();
 //! let mut scratch = TopKScratch::new();
+//! let mut out = MechanismOutput::Indices(Vec::new());
 //! for run in 0..100 {
-//!     let out = mech
-//!         .run_with_scratch(&answers, &mut derive_stream(7, run), &mut scratch)
+//!     let mut rng = derive_stream(7, run);
+//!     let mut provider = RngDraws::new(&mut rng);
+//!     mech.call(&QuerySlice::new(&answers), &mut provider, &mut scratch, &mut out)
 //!         .unwrap();
-//!     assert_eq!(out.items.len(), 3);
+//!     assert_eq!(out.top_k_mut().items.len(), 3);
 //! }
 //! ```
 

@@ -28,8 +28,7 @@ use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
-use rand::rngs::StdRng;
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use rand::Rng;
 
 /// Adaptive-Sparse-Vector-with-Gap (Algorithm 2).
@@ -163,8 +162,7 @@ impl AdaptiveSparseVector {
 
     /// The single copy of Algorithm 2's branch and budget logic, generic
     /// over the [`DrawProvider`] noise comes through; every execution path
-    /// (dyn, scratch, streaming, and their combinations) is this one
-    /// function behind a thin provider-picking entry point.
+    /// (each provider, slice or lazy stream) is this one function.
     ///
     /// Consumes `queries` lazily: the next answer is pulled only while the
     /// adaptive budget still covers a worst-case (`ε₁`) answer and the
@@ -257,73 +255,9 @@ impl AdaptiveSparseVector {
         out.epsilon = self.epsilon;
     }
 
-    /// Empty output shell for the core to fill.
-    fn empty_output(&self) -> AdaptiveSvOutput {
-        AdaptiveSvOutput {
-            outcomes: Vec::new(),
-            spent: 0.0,
-            epsilon: self.epsilon,
-        }
-    }
-
-    /// Streaming run against a noise source: `run_core`
-    /// through the [`SourceDraws`] adapter.
-    pub fn run_streaming_with_source<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        source: &mut dyn NoiseSource,
-    ) -> AdaptiveSvOutput {
-        let mut out = self.empty_output();
-        self.run_core(queries, &mut SourceDraws::new(source), &mut out);
-        out
-    }
-
-    /// Runs the mechanism against a noise source.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> AdaptiveSvOutput {
-        self.run_streaming_with_source(answers.values().iter().copied(), source)
-    }
-
-    /// Runs with a plain RNG.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> AdaptiveSvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Streaming twin of [`run`](Self::run); same laziness contract as
-    /// [`run_streaming_with_source`](Self::run_streaming_with_source).
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> AdaptiveSvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_streaming_with_source(queries, &mut source)
-    }
-
-    /// Streaming, batched, monomorphic fast path:
-    /// `run_core` through [`ScratchDraws`]; see
-    /// [`crate::scratch`]. Output is bit-identical to [`run`](Self::run) on
-    /// the same RNG stream and query sequence. The scratch buffers *noise*
-    /// ahead of the stream, never query answers: no query is pulled after
-    /// the mechanism halts.
-    pub fn run_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> AdaptiveSvOutput {
-        let mut out = self.empty_output();
-        self.run_streaming_with_scratch_into(queries, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
+    /// The lazy streaming entry: `run_core` through [`ScratchDraws`] over
+    /// `queries`; contract as in
+    /// [`ClassicSparseVector::run_streaming_with_scratch_into`](super::ClassicSparseVector::run_streaming_with_scratch_into).
     pub fn run_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
@@ -333,30 +267,6 @@ impl AdaptiveSparseVector {
     ) {
         self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out);
     }
-
-    /// Batched, monomorphic fast path; see [`crate::scratch`]. Output is
-    /// bit-identical to [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> AdaptiveSvOutput {
-        let mut out = self.empty_output();
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut AdaptiveSvOutput,
-    ) {
-        self.run_streaming_with_scratch_into(answers.values().iter().copied(), rng, scratch, out);
-    }
 }
 
 impl AlignedMechanism for AdaptiveSparseVector {
@@ -364,7 +274,17 @@ impl AlignedMechanism for AdaptiveSparseVector {
     type Output = AdaptiveSvOutput;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> AdaptiveSvOutput {
-        self.run_with_source(input, source)
+        let mut out = AdaptiveSvOutput {
+            outcomes: Vec::new(),
+            spent: 0.0,
+            epsilon: self.epsilon,
+        };
+        self.run_core(
+            input.values().iter().copied(),
+            &mut SourceDraws::new(source),
+            &mut out,
+        );
+        out
     }
 
     /// Equation (3), with the footnote-6 monotone refinement: threshold up
@@ -439,6 +359,7 @@ impl AlignedMechanism for AdaptiveSparseVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::testing::reference;
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
     use free_gap_noise::rng::rng_from_seed;
@@ -477,7 +398,7 @@ mod tests {
         let answers = QueryAnswers::counting(vec![15.0; 100]); // everything near T
         let mut rng = rng_from_seed(1);
         for _ in 0..200 {
-            let out = m.run(&answers, &mut rng);
+            let out = reference(&m, &answers, &mut rng).unwrap().into_adaptive();
             assert!(out.spent <= 0.7 + 1e-9, "spent {}", out.spent);
         }
     }
@@ -489,7 +410,7 @@ mod tests {
         let answers = QueryAnswers::counting(vec![1000.0; 100]); // far above
         let mut rng = rng_from_seed(2);
         for _ in 0..100 {
-            let out = m.run(&answers, &mut rng);
+            let out = reference(&m, &answers, &mut rng).unwrap().into_adaptive();
             assert!(out.answered() >= 3, "answered only {}", out.answered());
         }
     }
@@ -501,7 +422,7 @@ mod tests {
         let m = mech(5, 0.7, 10.0);
         let answers = QueryAnswers::counting(vec![1e7; 100]);
         let mut rng = rng_from_seed(3);
-        let out = m.run(&answers, &mut rng);
+        let out = reference(&m, &answers, &mut rng).unwrap().into_adaptive();
         assert_eq!(out.answered_via(Branch::Middle), 0);
         assert!(out.answered() >= 9, "answered {}", out.answered());
         assert!(out.answered() <= 11);
@@ -516,7 +437,7 @@ mod tests {
         let mut top = 0;
         let mut middle = 0;
         for _ in 0..50 {
-            let out = m.run(&answers, &mut rng);
+            let out = reference(&m, &answers, &mut rng).unwrap().into_adaptive();
             top += out.answered_via(Branch::Top);
             middle += out.answered_via(Branch::Middle);
         }
@@ -527,7 +448,9 @@ mod tests {
     fn answer_limit_stops_early_leaving_budget() {
         let m = mech(10, 0.7, 10.0).with_answer_limit(10);
         let answers = QueryAnswers::counting(vec![1e7; 200]);
-        let out = m.run(&answers, &mut rng_from_seed(5));
+        let out = reference(&m, &answers, &mut rng_from_seed(5))
+            .unwrap()
+            .into_adaptive();
         assert_eq!(out.answered(), 10);
         // All answers via the cheap branch => ~half the query budget remains.
         assert!(
@@ -546,7 +469,7 @@ mod tests {
         let answers = QueryAnswers::counting(vec![100.0, 5.0, 90.0, 4.0, 95.0]);
         let mut rng = rng_from_seed(6);
         for _ in 0..50 {
-            let out = m.run(&answers, &mut rng);
+            let out = reference(&m, &answers, &mut rng).unwrap().into_adaptive();
             assert_eq!(out.answered_via(Branch::Top), 0);
         }
     }

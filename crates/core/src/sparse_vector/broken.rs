@@ -47,21 +47,21 @@
 //!   stays fixed: not `ε'`-DP for any finite `ε'` on long workloads.
 //!
 //! Every variant runs through the same [`DrawProvider`] substrate as the
-//! correct mechanisms: `run` is the draw-exact dyn path (the alignment
-//! checker interposes here) and `run_with_scratch[_into]` is the batched
-//! fast path over [`SvtScratch`], bit-identical on the same RNG stream —
-//! which is what lets the `free-gap-attack` Monte-Carlo harness hammer the
-//! zoo at full scratch-path speed with deterministic derived sub-streams.
-
-// lint:allow-file(taxonomy): the zoo's scratch paths are attack targets, deliberately broken — they
-// must never join the equivalence suite or the bench grid as if they were serving mechanisms.
+//! correct mechanisms, with one private core each. `run_with_scratch_into`
+//! is the batched fast path over [`SvtScratch`] — the `free-gap-attack`
+//! Monte-Carlo harness's only way in, hammering the zoo at full
+//! scratch-path speed with deterministic derived sub-streams — and the
+//! variants the alignment checker audits also run the draw-exact dyn path
+//! through `AlignedMechanism::run`. Both are bit-identical on the same RNG
+//! stream. The zoo deliberately does not implement
+//! [`Mechanism`](crate::api::Mechanism): it must never join the
+//! equivalence suite or the bench grid as if it were a serving mechanism.
 use super::SvOutput;
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
-use rand::rngs::StdRng;
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use rand::Rng;
 
 /// Lyu Alg. 3 (Roth): SVT that releases `qᵢ + νᵢ` for `⊤` answers,
@@ -134,36 +134,8 @@ impl NoisyValueSvt {
         }
     }
 
-    /// Runs the mechanism.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> NoisyValueOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> NoisyValueOutput {
-        let mut out = Vec::new();
-        self.run_core(answers, &mut SourceDraws::new(source), &mut out);
-        out
-    }
-
-    /// Batched fast path over [`SvtScratch`]; bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> NoisyValueOutput {
-        let mut out = Vec::new();
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
+    /// Batched fast path over [`SvtScratch`], writing into `out` (buffer
+    /// reused across runs).
     pub fn run_with_scratch_into<R: Rng + ?Sized>(
         &self,
         answers: &QueryAnswers,
@@ -184,7 +156,9 @@ impl AlignedMechanism for NoisyValueSvt {
     type Output = NoisyValueOutput;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> NoisyValueOutput {
-        self.run_with_source(input, source)
+        let mut out = Vec::new();
+        self.run_core(input, &mut SourceDraws::new(source), &mut out);
+        out
     }
 
     fn align(
@@ -294,32 +268,8 @@ impl UnscaledNoiseSvt {
         }
     }
 
-    fn run_with_source(&self, answers: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(answers, &mut SourceDraws::new(source), &mut out);
-        out
-    }
-
-    /// Runs the mechanism.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Batched fast path over [`SvtScratch`]; bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
+    /// Batched fast path over [`SvtScratch`], writing into `out` (buffer
+    /// reused across runs).
     pub fn run_with_scratch_into<R: Rng + ?Sized>(
         &self,
         answers: &QueryAnswers,
@@ -339,7 +289,9 @@ impl AlignedMechanism for UnscaledNoiseSvt {
     type Output = SvOutput;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        self.run_with_source(input, source)
+        let mut out = SvOutput { above: Vec::new() };
+        self.run_core(input, &mut SourceDraws::new(source), &mut out);
+        out
     }
 
     fn align(
@@ -413,28 +365,8 @@ impl NoQueryNoiseSvt {
         }));
     }
 
-    /// Runs the mechanism.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(answers, &mut SourceDraws::new(&mut source), &mut out);
-        out
-    }
-
-    /// Batched fast path over [`SvtScratch`]; bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
+    /// Batched fast path over [`SvtScratch`], writing into `out` (buffer
+    /// reused across runs).
     pub fn run_with_scratch_into<R: Rng + ?Sized>(
         &self,
         answers: &QueryAnswers,
@@ -516,28 +448,8 @@ impl BudgetMisallocationSvt {
         }
     }
 
-    /// Runs the mechanism.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(answers, &mut SourceDraws::new(&mut source), &mut out);
-        out
-    }
-
-    /// Batched fast path over [`SvtScratch`]; bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
+    /// Batched fast path over [`SvtScratch`], writing into `out` (buffer
+    /// reused across runs).
     pub fn run_with_scratch_into<R: Rng + ?Sized>(
         &self,
         answers: &QueryAnswers,
@@ -610,28 +522,8 @@ impl UnboundedCountSvt {
         }
     }
 
-    /// Runs the mechanism.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(answers, &mut SourceDraws::new(&mut source), &mut out);
-        out
-    }
-
-    /// Batched fast path over [`SvtScratch`]; bit-identical to
-    /// [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
+    /// Batched fast path over [`SvtScratch`], writing into `out` (buffer
+    /// reused across runs).
     pub fn run_with_scratch_into<R: Rng + ?Sized>(
         &self,
         answers: &QueryAnswers,
@@ -650,7 +542,9 @@ mod tests {
     use free_gap_alignment::checker::check_alignment;
     use free_gap_alignment::empirical::empirical_epsilon;
     use free_gap_alignment::AlignmentError;
+    use free_gap_alignment::SamplingSource;
     use free_gap_noise::rng::rng_from_seed;
+    use rand::rngs::StdRng;
 
     #[test]
     fn construction_validation() {
@@ -662,54 +556,65 @@ mod tests {
         assert!(UnboundedCountSvt::new(0.0, 0.0).is_err());
     }
 
+    /// The draw-exact dyn path: a variant's private core through
+    /// [`SourceDraws`] on `rng_from_seed(seed)`, into a fresh `$out`.
+    macro_rules! dyn_run {
+        ($m:expr, $answers:expr, $seed:expr, $out:expr) => {{
+            let mut rng = rng_from_seed($seed);
+            let mut source = SamplingSource::new(&mut rng);
+            let mut out = $out;
+            $m.run_core($answers, &mut SourceDraws::new(&mut source), &mut out);
+            out
+        }};
+    }
+
+    fn sv() -> SvOutput {
+        SvOutput { above: Vec::new() }
+    }
+
     #[test]
     fn scratch_paths_are_bit_identical_to_run() {
         // Every zoo variant's scratch fast path must replay the dyn path's
         // exact outputs on the same RNG stream — the property the attack
-        // harness's Monte-Carlo loops rely on.
+        // harness's Monte-Carlo loops rely on. The scratch and output
+        // buffers are reused across seeds, which also pins `_into`'s
+        // buffer reuse.
         let answers = QueryAnswers::general(vec![10.5, 9.0, 10.0, 8.5, 11.0, 9.5, 10.2, 7.0]);
         let mut scratch = SvtScratch::new();
+        let (mut nv_out, mut out): (NoisyValueOutput, SvOutput) = (Vec::new(), sv());
         for seed in 0..25u64 {
             let nv = NoisyValueSvt::new(2, 0.8, 10.0).unwrap();
-            let a = nv.run(&answers, &mut rng_from_seed(seed));
-            let b = nv.run_with_scratch(&answers, &mut rng_from_seed(seed), &mut scratch);
-            assert_eq!(a, b, "NoisyValueSvt diverged at seed {seed}");
+            nv.run_with_scratch_into(
+                &answers,
+                &mut rng_from_seed(seed),
+                &mut scratch,
+                &mut nv_out,
+            );
+            let expect = dyn_run!(nv, &answers, seed, Vec::new());
+            assert_eq!(nv_out, expect, "NoisyValueSvt diverged at seed {seed}");
 
             let un = UnscaledNoiseSvt::new(3, 0.8, 10.0).unwrap();
-            let a = un.run(&answers, &mut rng_from_seed(seed));
-            let b = un.run_with_scratch(&answers, &mut rng_from_seed(seed), &mut scratch);
-            assert_eq!(a, b, "UnscaledNoiseSvt diverged at seed {seed}");
+            un.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut out);
+            let expect = dyn_run!(un, &answers, seed, sv());
+            assert_eq!(out, expect, "UnscaledNoiseSvt diverged at seed {seed}");
 
             let nq = NoQueryNoiseSvt::new(0.8, 10.0).unwrap();
-            let a = nq.run(&answers, &mut rng_from_seed(seed));
-            let b = nq.run_with_scratch(&answers, &mut rng_from_seed(seed), &mut scratch);
-            assert_eq!(a, b, "NoQueryNoiseSvt diverged at seed {seed}");
+            nq.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut out);
+            let expect = dyn_run!(nq, &answers, seed, sv());
+            assert_eq!(out, expect, "NoQueryNoiseSvt diverged at seed {seed}");
 
             let bm = BudgetMisallocationSvt::new(2, 0.8, 10.0).unwrap();
-            let a = bm.run(&answers, &mut rng_from_seed(seed));
-            let b = bm.run_with_scratch(&answers, &mut rng_from_seed(seed), &mut scratch);
-            assert_eq!(a, b, "BudgetMisallocationSvt diverged at seed {seed}");
+            bm.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut out);
+            let expect = dyn_run!(bm, &answers, seed, sv());
+            assert_eq!(
+                out, expect,
+                "BudgetMisallocationSvt diverged at seed {seed}"
+            );
 
             let ub = UnboundedCountSvt::new(0.8, 10.0).unwrap();
-            let a = ub.run(&answers, &mut rng_from_seed(seed));
-            let b = ub.run_with_scratch(&answers, &mut rng_from_seed(seed), &mut scratch);
-            assert_eq!(a, b, "UnboundedCountSvt diverged at seed {seed}");
-        }
-    }
-
-    #[test]
-    fn into_variants_reuse_buffers() {
-        let answers = QueryAnswers::general(vec![10.0, 9.0, 11.0]);
-        let mut scratch = SvtScratch::new();
-        let mut sv = SvOutput { above: Vec::new() };
-        let mut nv: NoisyValueOutput = Vec::new();
-        for seed in 0..5u64 {
-            let m = BudgetMisallocationSvt::new(2, 1.0, 10.0).unwrap();
-            m.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut sv);
-            assert_eq!(sv, m.run(&answers, &mut rng_from_seed(seed)));
-            let m = NoisyValueSvt::new(1, 1.0, 10.0).unwrap();
-            m.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut nv);
-            assert_eq!(nv, m.run(&answers, &mut rng_from_seed(seed)));
+            ub.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut out);
+            let expect = dyn_run!(ub, &answers, seed, sv());
+            assert_eq!(out, expect, "UnboundedCountSvt diverged at seed {seed}");
         }
     }
 
@@ -720,7 +625,7 @@ mod tests {
         // exceed any fixed k.
         let m = UnboundedCountSvt::new(100.0, 0.0).unwrap();
         let answers = QueryAnswers::general(vec![5.0; 200]);
-        let out = m.run(&answers, &mut rng_from_seed(1));
+        let out = dyn_run!(m, &answers, 1, sv());
         assert_eq!(out.processed(), 200);
         assert!(out.answered() > 100, "answered {}", out.answered());
         assert!((m.true_epsilon_for(out.answered())) > m.claimed_epsilon());
@@ -832,11 +737,14 @@ mod tests {
         // entirely on a frequent event → disjoint support → ε̂ = ∞.
         let mech = NoQueryNoiseSvt::new(1.0, 10.0).unwrap();
         let run = |answers: &[f64], rng: &mut StdRng| {
-            mech.run(&QueryAnswers::general(answers.to_vec()), rng)
-                .above
-                .iter()
-                .map(|o| o.is_some())
-                .collect::<Vec<bool>>()
+            let mut out = sv();
+            let answers = QueryAnswers::general(answers.to_vec());
+            mech.run_core(
+                &answers,
+                &mut SourceDraws::new(&mut SamplingSource::new(rng)),
+                &mut out,
+            );
+            out.above.iter().map(|o| o.is_some()).collect::<Vec<bool>>()
         };
         let mut d: Vec<f64> = (0..16).map(|i| 10.0 + (i as f64 - 8.0) * 0.5).collect();
         let mut dp = d.clone();
@@ -861,11 +769,15 @@ mod tests {
         // workload stays within its budget.
         let mech = ClassicSparseVector::new(4, 1.0, 10.0, false).unwrap();
         let run = |answers: &[f64], rng: &mut StdRng| {
-            mech.run(&QueryAnswers::general(answers.to_vec()), rng)
-                .above
-                .iter()
-                .map(|o| o.is_some())
-                .collect::<Vec<bool>>()
+            AlignedMechanism::run(
+                &mech,
+                &QueryAnswers::general(answers.to_vec()),
+                &mut SamplingSource::new(rng),
+            )
+            .above
+            .iter()
+            .map(|o| o.is_some())
+            .collect::<Vec<bool>>()
         };
         let mut d: Vec<f64> = (0..6).map(|i| 10.0 + (i as f64 - 3.0) * 0.5).collect();
         let mut dp = d.clone();

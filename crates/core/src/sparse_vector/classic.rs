@@ -12,8 +12,7 @@ use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
-use rand::rngs::StdRng;
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use rand::Rng;
 
 /// Resumable state of one streaming SVT run: the noisy threshold, the
@@ -133,8 +132,8 @@ impl ClassicSparseVector {
     /// The single copy of the SVT decision loop, generic over the
     /// [`DrawProvider`] noise comes through. Shared by the classic and
     /// gap-releasing variants (`release_gaps` controls whether above answers
-    /// carry the noisy gap or a placeholder `0.0`), by the materialized and
-    /// streaming entry points, and by every execution path — the variants
+    /// carry the noisy gap or a placeholder `0.0`), by slices and lazy
+    /// streams, and by every execution path — the variants
     /// cannot silently diverge (the Chen–Machanavajjhala hazard).
     ///
     /// Writes into `out`, reusing its buffer; the stop condition is checked
@@ -214,7 +213,7 @@ impl ClassicSparseVector {
     /// returned state one query at a time with
     /// [`stream_feed`](Self::stream_feed) — in any batching across any
     /// number of calls, the decisions are bit-identical to one
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch)
+    /// [`run_streaming_with_scratch_into`](Self::run_streaming_with_scratch_into)
     /// call over the concatenated stream on the same RNG, provided the
     /// same `rng`/`scratch` pair keeps serving this stream until it halts
     /// (the scratch's buffered lookahead is part of the tape, so the pair
@@ -261,89 +260,13 @@ impl ClassicSparseVector {
         out
     }
 
-    /// Runs with a plain RNG.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_impl(answers, &mut source, false)
-    }
-
-    /// Scratch-path entry shared by the classic and gap-releasing variants:
-    /// [`run_core`](Self::run_core) through [`ScratchDraws`] (blocked
-    /// unit-Laplace buffer, monomorphic RNG), writing into `out`.
-    pub(crate) fn run_scratch_core<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        release_gaps: bool,
-        out: &mut SvOutput,
-    ) {
-        self.run_core(
-            queries,
-            &mut ScratchDraws::new(scratch, rng),
-            release_gaps,
-            out,
-        );
-    }
-
-    /// Batched fast path without gap release; see [`crate::scratch`].
-    /// Output is bit-identical to [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.run_scratch_core(answers.values().iter().copied(), rng, scratch, false, out);
-    }
-
-    /// Streaming twin of [`run`](Self::run): consumes `queries` lazily,
-    /// answering each as it is pulled, and stops pulling the moment the
-    /// `k`-th `⊤` is answered — queries after the halt are never observed.
-    /// Output is bit-identical to [`run`](Self::run) on the same RNG stream
-    /// and the same query sequence.
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(queries, &mut SourceDraws::new(&mut source), false, &mut out);
-        out
-    }
-
-    /// Streaming twin of [`run_with_scratch`](Self::run_with_scratch); same
-    /// laziness contract as [`run_streaming`](Self::run_streaming). The
-    /// scratch may buffer *noise* ahead of the stream (see
-    /// [`crate::scratch`]), but never query answers.
-    pub fn run_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_scratch_core(queries, rng, scratch, false, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch).
+    /// The lazy streaming entry: the decision loop through
+    /// [`ScratchDraws`] over `queries`, answering each query as it is
+    /// pulled and stopping the pull the moment the `k`-th `⊤` is answered
+    /// — queries after the halt are never observed. The scratch may buffer
+    /// *noise* ahead of the stream (see [`crate::scratch`]), but never
+    /// query answers. Bit-identical to [`Mechanism::call`](crate::api::Mechanism::call)
+    /// through [`ScratchDraws`] over the same queries as a slice.
     pub fn run_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
@@ -351,7 +274,7 @@ impl ClassicSparseVector {
         scratch: &mut SvtScratch,
         out: &mut SvOutput,
     ) {
-        self.run_scratch_core(queries, rng, scratch, false, out);
+        self.run_core(queries, &mut ScratchDraws::new(scratch, rng), false, out);
     }
 
     /// Builds the SVT alignment shared by the classic and gap variants:
@@ -410,6 +333,7 @@ impl AlignedMechanism for ClassicSparseVector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::testing::reference;
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
     use free_gap_noise::rng::rng_from_seed;
@@ -434,7 +358,9 @@ mod tests {
     #[test]
     fn stops_after_k_aboves() {
         let m = ClassicSparseVector::new(2, 100.0, 50.0, true).unwrap();
-        let out = m.run(&workload(), &mut rng_from_seed(1));
+        let out = reference(&m, &workload(), &mut rng_from_seed(1))
+            .unwrap()
+            .into_sv();
         assert_eq!(out.answered(), 2);
         // With huge ε it answers the first two truly-above queries (0, 2)
         // and stops: query 4 is never processed.
@@ -446,7 +372,9 @@ mod tests {
     fn below_threshold_answers_are_free_and_unlimited() {
         let lows = QueryAnswers::counting(vec![0.0; 500]);
         let m = ClassicSparseVector::new(1, 1.0, 100.0, true).unwrap();
-        let out = m.run(&lows, &mut rng_from_seed(2));
+        let out = reference(&m, &lows, &mut rng_from_seed(2))
+            .unwrap()
+            .into_sv();
         // Processes the whole stream without finding k aboves (w.h.p.).
         assert_eq!(out.processed(), 500);
         assert!(out.answered() <= 1);

@@ -17,8 +17,7 @@ use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
-use rand::rngs::StdRng;
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use rand::Rng;
 
 /// Sparse-Vector-with-Gap over an integer lattice with discrete Laplace
@@ -89,20 +88,9 @@ impl DiscreteSparseVectorWithGap {
         (1.0 - self.threshold_share) * self.epsilon / (c * self.k as f64)
     }
 
-    fn validate_lattice(&self, answers: &QueryAnswers) {
-        debug_assert!(
-            answers.values().iter().all(|v| {
-                let steps = v / self.gamma;
-                (steps - steps.round()).abs() < 1e-9
-            }),
-            "query answers must be multiples of γ = {}",
-            self.gamma
-        );
-    }
-
     /// The single copy of the discrete SVT decision loop, generic over the
-    /// [`DrawProvider`] noise comes through, shared by the materialized and
-    /// streaming entry points. Query noise comes in whole blocks of
+    /// [`DrawProvider`] noise comes through, shared by slices and lazy
+    /// streams. Query noise comes in whole blocks of
     /// arity-1 tuples
     /// ([`discrete_peek_tuples`](DrawProvider::discrete_peek_tuples)):
     /// blocked providers serve a slab of geometric-tail draws per peek with
@@ -172,93 +160,11 @@ impl DiscreteSparseVectorWithGap {
         }
     }
 
-    /// Runs the mechanism; released gaps are exact lattice multiples.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> SvOutput {
-        self.validate_lattice(answers);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(
-            answers.values().iter().copied(),
-            &mut SourceDraws::new(source),
-            &mut out,
-        );
-        out
-    }
-
-    /// Runs with a plain RNG.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Batched fast path: `run_core` through [`ScratchDraws`], so the
-    /// geometric-tail uniforms come in blocked refills and the per-rate
-    /// `exp`/`ln` normalization is cached in the scratch; see
-    /// [`crate::scratch`]. Output is bit-identical to [`run`](Self::run) on
-    /// the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.validate_lattice(answers);
-        self.run_core(
-            answers.values().iter().copied(),
-            &mut ScratchDraws::new(scratch, rng),
-            out,
-        );
-    }
-
-    /// Streaming twin of [`run`](Self::run): consumes `queries` lazily and
-    /// stops pulling the moment the `k`-th `⊤` is answered — queries after
-    /// the halt are never observed. Output is bit-identical to
-    /// [`run`](Self::run) on the same RNG stream and query sequence.
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(queries, &mut SourceDraws::new(&mut source), &mut out);
-        out
-    }
-
-    /// Streaming twin of [`run_with_scratch`](Self::run_with_scratch); same
-    /// laziness contract as [`run_streaming`](Self::run_streaming). The
-    /// scratch may buffer *noise* ahead of the stream (see
+    /// The lazy streaming entry: `run_core` through [`ScratchDraws`] over
+    /// `queries`; contract as in
+    /// [`ClassicSparseVector::run_streaming_with_scratch_into`](super::ClassicSparseVector::run_streaming_with_scratch_into).
+    /// The scratch may buffer *noise* ahead of the stream (see
     /// [`crate::scratch`]), but never query answers.
-    pub fn run_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_streaming_with_scratch_into(queries, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch).
     pub fn run_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
@@ -274,8 +180,15 @@ impl AlignedMechanism for DiscreteSparseVectorWithGap {
     type Input = QueryAnswers;
     type Output = SvOutput;
 
+    /// Released gaps are exact lattice multiples.
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        self.run_with_source(input, source)
+        let mut out = SvOutput { above: Vec::new() };
+        self.run_core(
+            input.values().iter().copied(),
+            &mut SourceDraws::new(source),
+            &mut out,
+        );
+        out
     }
 
     /// The classic SVT alignment with lattice-valued shifts: threshold +γ
@@ -322,10 +235,12 @@ impl AlignedMechanism for DiscreteSparseVectorWithGap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::testing::reference;
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::empirical::empirical_epsilon;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
     use free_gap_noise::rng::rng_from_seed;
+    use rand::rngs::StdRng;
 
     fn workload() -> QueryAnswers {
         QueryAnswers::counting(vec![100.0, 5.0, 90.0, 4.0, 95.0, 3.0])
@@ -344,7 +259,7 @@ mod tests {
         let m = DiscreteSparseVectorWithGap::new(3, 1.0, 60.0, true).unwrap();
         let mut rng = rng_from_seed(1);
         for _ in 0..100 {
-            let out = m.run(&workload(), &mut rng);
+            let out = reference(&m, &workload(), &mut rng).unwrap().into_sv();
             for (_, g) in out.gaps() {
                 assert!(g >= 0.0);
                 assert!((g - g.round()).abs() < 1e-9, "gap {g}");
@@ -377,7 +292,9 @@ mod tests {
         let eps = 1.0;
         let m = DiscreteSparseVectorWithGap::new(2, eps, 5.0, false).unwrap();
         let run = |answers: &[f64], rng: &mut StdRng| {
-            m.run(&QueryAnswers::general(answers.to_vec()), rng)
+            reference(&m, &QueryAnswers::general(answers.to_vec()), rng)
+                .unwrap()
+                .into_sv()
                 .above
                 .iter()
                 .map(|o| o.is_some())
@@ -404,10 +321,16 @@ mod tests {
         let mut rng = rng_from_seed(4);
         let runs = 4_000;
         let d_answers: usize = (0..runs)
-            .map(|_| disc.run(&workload(), &mut rng).answered())
+            .map(|_| {
+                let out = reference(&disc, &workload(), &mut rng).unwrap();
+                out.into_sv().answered()
+            })
             .sum();
         let c_answers: usize = (0..runs)
-            .map(|_| cont.run(&workload(), &mut rng).answered())
+            .map(|_| {
+                let out = reference(&cont, &workload(), &mut rng).unwrap();
+                out.into_sv().answered()
+            })
             .sum();
         let gap = (d_answers as f64 - c_answers as f64).abs() / runs as f64;
         assert!(

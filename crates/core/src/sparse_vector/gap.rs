@@ -9,11 +9,10 @@
 use super::classic::{ClassicSparseVector, SvtStreamState};
 use super::SvOutput;
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, SourceDraws};
+use crate::draw::{DrawProvider, ScratchDraws};
 use crate::error::MechanismError;
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
-use rand::rngs::StdRng;
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use rand::Rng;
 
 /// Sparse-Vector-with-Gap.
@@ -73,93 +72,8 @@ impl SparseVectorWithGap {
         2.0 * t * t + 2.0 * q * q
     }
 
-    /// Runs with a plain RNG.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.inner.run_impl(answers, &mut source, true)
-    }
-
-    /// Runs against an explicit noise source.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> SvOutput {
-        self.inner.run_impl(answers, source, true)
-    }
-
-    /// Gap-releasing selection through an arbitrary [`DrawProvider`] — the
-    /// hook the select-then-measure pipeline core drives, so the pipeline
-    /// logic also exists only once.
-    pub(crate) fn run_provider<P: DrawProvider>(
-        &self,
-        answers: &QueryAnswers,
-        provider: &mut P,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.inner
-            .run_core(answers.values().iter().copied(), provider, true, &mut out);
-        out
-    }
-
-    /// Batched fast path with gap release; see [`crate::scratch`]. Output is
-    /// bit-identical to [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut SvOutput,
-    ) {
-        self.inner
-            .run_scratch_core(answers.values().iter().copied(), rng, scratch, true, out);
-    }
-
-    /// Streaming twin of [`run`](Self::run): consumes `queries` lazily and
-    /// stops pulling the moment the `k`-th `⊤` is answered — queries after
-    /// the halt are never observed. Output is bit-identical to
-    /// [`run`](Self::run) on the same RNG stream and query sequence.
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> SvOutput {
-        let mut source = SamplingSource::new(rng);
-        let mut out = SvOutput { above: Vec::new() };
-        self.inner
-            .run_core(queries, &mut SourceDraws::new(&mut source), true, &mut out);
-        out
-    }
-
-    /// Streaming twin of [`run_with_scratch`](Self::run_with_scratch); same
-    /// laziness contract as [`run_streaming`](Self::run_streaming).
-    pub fn run_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.inner
-            .run_scratch_core(queries, rng, scratch, true, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch).
+    /// The lazy streaming entry with gap release; contract as in
+    /// [`ClassicSparseVector::run_streaming_with_scratch_into`].
     pub fn run_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
@@ -168,13 +82,13 @@ impl SparseVectorWithGap {
         out: &mut SvOutput,
     ) {
         self.inner
-            .run_scratch_core(queries, rng, scratch, true, out);
+            .run_core(queries, &mut ScratchDraws::new(scratch, rng), true, out);
     }
 
     /// Gap-releasing selection over a plain answer slice through an
-    /// arbitrary [`DrawProvider`] — the unified-API hook
-    /// (`crate::api::Mechanism`) drives this so the decision loop still
-    /// exists only once, in [`ClassicSparseVector`].
+    /// arbitrary [`DrawProvider`] — the hook [`Mechanism::call`](crate::api::Mechanism::call)
+    /// and the select-then-measure pipeline drive, so the decision loop
+    /// still exists only once, in [`ClassicSparseVector`].
     pub(crate) fn run_values_core<P: DrawProvider>(
         &self,
         values: &[f64],
@@ -205,12 +119,8 @@ impl SparseVectorWithGap {
         rng: &mut R,
         scratch: &mut SvtScratch,
     ) -> Option<Option<f64>> {
-        self.inner.stream_step_core(
-            state,
-            query,
-            &mut crate::draw::ScratchDraws::new(scratch, rng),
-            true,
-        )
+        self.inner
+            .stream_step_core(state, query, &mut ScratchDraws::new(scratch, rng), true)
     }
 }
 
@@ -253,6 +163,7 @@ impl AlignedMechanism for SparseVectorWithGap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::testing::reference;
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
     use free_gap_noise::rng::rng_from_seed;
@@ -267,8 +178,9 @@ mod tests {
         let gap = SparseVectorWithGap::new(3, 0.7, 60.0, true).unwrap();
         let classic = ClassicSparseVector::new(3, 0.7, 60.0, true).unwrap();
         for seed in 0..40 {
-            let a = gap.run(&workload(), &mut rng_from_seed(seed));
-            let b = classic.run(&workload(), &mut rng_from_seed(seed));
+            let a = reference(&gap, &workload(), &mut rng_from_seed(seed)).unwrap();
+            let b = reference(&classic, &workload(), &mut rng_from_seed(seed)).unwrap();
+            let (a, b) = (a.into_sv(), b.into_sv());
             assert_eq!(a.above_indices(), b.above_indices(), "seed {seed}");
         }
     }
@@ -281,7 +193,7 @@ mod tests {
         let mut rng = rng_from_seed(4);
         let mut est = RunningMoments::new();
         for _ in 0..20_000 {
-            let out = m.run(&workload(), &mut rng);
+            let out = reference(&m, &workload(), &mut rng).unwrap().into_sv();
             for (i, g) in out.gaps() {
                 assert!(g >= 0.0);
                 if i == 0 {
@@ -304,7 +216,7 @@ mod tests {
         let mut rng = rng_from_seed(9);
         let mut mo = RunningMoments::new();
         for _ in 0..150_000 {
-            let out = m.run(&answers, &mut rng);
+            let out = reference(&m, &answers, &mut rng).unwrap().into_sv();
             if let Some((_, g)) = out.gaps().first() {
                 mo.push(*g);
             }

@@ -24,8 +24,7 @@ use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
 use crate::error::{require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
-use rand::rngs::StdRng;
+use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use rand::Rng;
 
 /// Per-query outcome of the multi-branch mechanism.
@@ -190,8 +189,8 @@ impl MultiBranchAdaptiveSparseVector {
     }
 
     /// The single copy of the branch-ladder logic, generic over the
-    /// [`DrawProvider`] noise comes through; every execution path is this
-    /// one function behind a thin provider-picking entry point.
+    /// [`DrawProvider`] noise comes through; every execution path (each
+    /// provider, slice or lazy stream) is this one function.
     ///
     /// Consumes `queries` lazily, pulling the next answer only while the
     /// remaining budget still covers a worst-case (`ε₁`) answer — queries
@@ -275,72 +274,9 @@ impl MultiBranchAdaptiveSparseVector {
         out.epsilon = self.epsilon;
     }
 
-    /// Empty output shell for the core to fill.
-    fn empty_output(&self) -> MultiBranchSvOutput {
-        MultiBranchSvOutput {
-            outcomes: Vec::new(),
-            spent: 0.0,
-            epsilon: self.epsilon,
-        }
-    }
-
-    /// Streaming run against a noise source: `run_core`
-    /// through the [`SourceDraws`] adapter.
-    pub fn run_streaming_with_source<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        source: &mut dyn NoiseSource,
-    ) -> MultiBranchSvOutput {
-        let mut out = self.empty_output();
-        self.run_core(queries, &mut SourceDraws::new(source), &mut out);
-        out
-    }
-
-    /// Runs the mechanism against a noise source.
-    pub fn run_with_source(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-    ) -> MultiBranchSvOutput {
-        self.run_streaming_with_source(answers.values().iter().copied(), source)
-    }
-
-    /// Runs with a plain RNG.
-    pub fn run(&self, answers: &QueryAnswers, rng: &mut StdRng) -> MultiBranchSvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_with_source(answers, &mut source)
-    }
-
-    /// Streaming twin of [`run`](Self::run); same laziness contract as
-    /// [`run_streaming_with_source`](Self::run_streaming_with_source).
-    pub fn run_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut StdRng,
-    ) -> MultiBranchSvOutput {
-        let mut source = SamplingSource::new(rng);
-        self.run_streaming_with_source(queries, &mut source)
-    }
-
-    /// Streaming, batched, monomorphic fast path:
-    /// `run_core` through [`ScratchDraws`]; see
-    /// [`crate::scratch`]. Output is bit-identical to [`run`](Self::run) on
-    /// the same RNG stream and query sequence. The scratch buffers *noise*
-    /// ahead of the stream, never query answers.
-    pub fn run_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        queries: I,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> MultiBranchSvOutput {
-        let mut out = self.empty_output();
-        self.run_streaming_with_scratch_into(queries, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`run_streaming_with_scratch`](Self::run_streaming_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
+    /// The lazy streaming entry: `run_core` through [`ScratchDraws`] over
+    /// `queries`; contract as in
+    /// [`ClassicSparseVector::run_streaming_with_scratch_into`](super::ClassicSparseVector::run_streaming_with_scratch_into).
     pub fn run_streaming_with_scratch_into<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
@@ -350,30 +286,6 @@ impl MultiBranchAdaptiveSparseVector {
     ) {
         self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out);
     }
-
-    /// Batched, monomorphic fast path; see [`crate::scratch`]. Output is
-    /// bit-identical to [`run`](Self::run) on the same RNG stream.
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> MultiBranchSvOutput {
-        let mut out = self.empty_output();
-        self.run_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of [`run_with_scratch`](Self::run_with_scratch).
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut MultiBranchSvOutput,
-    ) {
-        self.run_streaming_with_scratch_into(answers.values().iter().copied(), rng, scratch, out);
-    }
 }
 
 impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
@@ -381,7 +293,17 @@ impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
     type Output = MultiBranchSvOutput;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> MultiBranchSvOutput {
-        self.run_with_source(input, source)
+        let mut out = MultiBranchSvOutput {
+            outcomes: Vec::new(),
+            spent: 0.0,
+            epsilon: self.epsilon,
+        };
+        self.run_core(
+            input.values().iter().copied(),
+            &mut SourceDraws::new(source),
+            &mut out,
+        );
+        out
     }
 
     fn align(
@@ -455,6 +377,7 @@ pub fn as_algorithm2_branch(outcome: &MultiBranchOutcome) -> Option<Branch> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::testing::reference;
     use crate::sparse_vector::{AdaptiveOutcome, AdaptiveSparseVector, SparseVectorWithGap};
     use free_gap_alignment::checker::check_alignment_many;
     use free_gap_alignment::{AdjacencyModel, Perturbation};
@@ -489,8 +412,12 @@ mod tests {
         let multi = mech(3, 2, 58.0);
         let alg2 = AdaptiveSparseVector::new(3, 0.7, 58.0, true).unwrap();
         for seed in 0..60 {
-            let a = multi.run(&answers, &mut rng_from_seed(seed));
-            let b = alg2.run(&answers, &mut rng_from_seed(seed));
+            let a = reference(&multi, &answers, &mut rng_from_seed(seed))
+                .unwrap()
+                .into_multi_branch();
+            let b = reference(&alg2, &answers, &mut rng_from_seed(seed))
+                .unwrap()
+                .into_adaptive();
             assert_eq!(a.outcomes.len(), b.outcomes.len(), "seed {seed}");
             for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
                 match (x, y) {
@@ -530,8 +457,12 @@ mod tests {
         // Same θ split and same noise-draw structure (1 threshold + 1 per
         // query), so identical streams give identical decisions and gaps.
         for seed in 0..60 {
-            let a = multi.run(&answers, &mut rng_from_seed(seed));
-            let b = svg.run(&answers, &mut rng_from_seed(seed));
+            let a = reference(&multi, &answers, &mut rng_from_seed(seed))
+                .unwrap()
+                .into_multi_branch();
+            let b = reference(&svg, &answers, &mut rng_from_seed(seed))
+                .unwrap()
+                .into_sv();
             let a_gaps: Vec<(usize, f64)> = a
                 .outcomes
                 .iter()
@@ -555,7 +486,9 @@ mod tests {
         let mut rng = rng_from_seed(1);
         let mut last = 0usize;
         for m in [1usize, 2, 3, 4] {
-            let out = mech(5, m, 0.0).run(&answers, &mut rng);
+            let out = reference(&mech(5, m, 0.0), &answers, &mut rng)
+                .unwrap()
+                .into_multi_branch();
             let answered = out.answered();
             assert!(
                 answered >= last,
@@ -573,7 +506,9 @@ mod tests {
         let m = mech(4, 3, 10.0);
         let mut rng = rng_from_seed(3);
         for _ in 0..100 {
-            let out = m.run(&answers, &mut rng);
+            let out = reference(&m, &answers, &mut rng)
+                .unwrap()
+                .into_multi_branch();
             assert!(out.spent <= 0.7 + 1e-9, "spent {}", out.spent);
         }
     }

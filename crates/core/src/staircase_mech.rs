@@ -22,28 +22,20 @@
 //! [`DrawProvider`] noise comes through (the
 //! [`staircase_fill_offset`](DrawProvider::staircase_fill_offset) /
 //! [`staircase_next`](DrawProvider::staircase_next) shapes, four uniforms
-//! per draw):
-//!
-//! * `measure_split` — the dyn reference through [`SourceDraws`]: the
-//!   source reconstructs the staircase distribution per draw (an `exp` and
-//!   the stair-side normalization each time), the historical per-draw cost;
-//! * `measure_split_with_scratch[_into]` — the batched fast path through
-//!   [`ScratchDraws`]: the distribution is constructed once per batch, the
-//!   four uniforms per draw come off the shared raw-uniform tape in blocked
-//!   refills, and the output buffer is caller-owned;
-//! * `measure_split_streaming[_with_scratch[_into]]` — the same loop over
-//!   `impl IntoIterator<Item = f64>` with an explicit batch size (the
-//!   budget divisor, which a lazy stream cannot supply).
-//!
-//! All paths are bit-identical on the same RNG stream
-//! (`tests/scratch_equivalence.rs`).
+//! per draw). [`Mechanism::call`](crate::api::Mechanism::call) runs it over
+//! a query slice with the caller's provider — [`SourceDraws`](crate::draw::SourceDraws)
+//! reconstructs the staircase distribution per draw (the historical
+//! per-draw cost), [`ScratchDraws`] constructs it once per batch and serves
+//! the four uniforms per draw off the blocked raw-uniform tape —
+//! and [`measure_split_streaming_with_scratch_into`](StaircaseMechanism::measure_split_streaming_with_scratch_into)
+//! runs it over a lazy answer stream with an explicit batch size (the
+//! budget divisor, which a stream cannot supply). All providers are
+//! bit-identical on the same RNG stream (`tests/scratch_equivalence.rs`).
 
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, ScratchDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{NoiseSource, SamplingSource};
 use free_gap_noise::{ContinuousDistribution, Staircase};
-use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Vector measurement with variance-optimal staircase noise.
@@ -84,7 +76,7 @@ impl StaircaseMechanism {
             .map_err(|_| MechanismError::InvalidEpsilon { value: per_query })
     }
 
-    /// Per-coordinate noise variance under [`measure_split`](Self::measure_split).
+    /// Per-coordinate noise variance when one call measures `k` answers.
     #[allow(clippy::expect_used)]
     pub fn split_variance(&self, k: usize) -> f64 {
         self.noise_for_batch(k)
@@ -135,117 +127,13 @@ impl StaircaseMechanism {
         );
     }
 
-    /// Sequential-composition measurement: splits the budget evenly over
-    /// the answers (the staircase counterpart of
-    /// [`crate::laplace_mech::LaplaceMechanism::measure_split`]). The dyn
-    /// reference path.
-    pub fn measure_split(&self, answers: &[f64], rng: &mut StdRng) -> Vec<f64> {
-        let mut source = SamplingSource::new(rng);
-        self.measure_split_with_source(answers, &mut source)
-    }
-
-    /// [`measure_split`](Self::measure_split) against an explicit noise
-    /// source (the alignment-style dyn path: one
-    /// [`NoiseSource::staircase`] call — and one distribution
-    /// reconstruction — per draw).
-    pub fn measure_split_with_source(
-        &self,
-        answers: &[f64],
-        source: &mut dyn NoiseSource,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.measure_core(answers, &mut SourceDraws::new(source), &mut out);
-        out
-    }
-
-    /// Batched fast path of [`measure_split`](Self::measure_split): the
-    /// same loop through [`ScratchDraws`] — the staircase distribution is
-    /// constructed once per batch and the four uniforms per draw are served
-    /// from the scratch's blocked raw-uniform tape. Bit-identical to
-    /// [`measure_split`](Self::measure_split) on the same RNG stream.
-    pub fn measure_split_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &[f64],
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.measure_split_with_scratch_into(answers, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`measure_split_with_scratch`](Self::measure_split_with_scratch):
-    /// writes into `out`, reusing its buffer across runs.
-    pub fn measure_split_with_scratch_into<R: Rng + ?Sized>(
-        &self,
-        answers: &[f64],
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-        out: &mut Vec<f64>,
-    ) {
-        self.measure_core(answers, &mut ScratchDraws::new(scratch, rng), out);
-    }
-
-    /// Intra-run parallel path of [`measure_split`](Self::measure_split):
-    /// the same measurement loop through a per-block provider
-    /// ([`ParallelDraws`](crate::draw::ParallelDraws) or its sequential
-    /// reference [`BlockSeqDraws`](crate::draw::BlockSeqDraws)) — the batch
-    /// staircase fill split across the provider's threads, bit-identical
-    /// for any thread count. The run is keyed by the provider's `run_seed`,
-    /// a *different stream* from the single-RNG paths.
-    pub fn measure_split_par<P: DrawProvider>(
-        &self,
-        answers: &[f64],
-        provider: &mut P,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.measure_split_par_into(answers, provider, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`measure_split_par`](Self::measure_split_par).
-    pub fn measure_split_par_into<P: DrawProvider>(
-        &self,
-        answers: &[f64],
-        provider: &mut P,
-        out: &mut Vec<f64>,
-    ) {
-        self.measure_core(answers, provider, out);
-    }
-
-    /// Streaming twin of [`measure_split`](Self::measure_split): measures a
-    /// lazy answer stream without materializing it, splitting the budget by
-    /// the caller-supplied `count`. Bit-identical to the materialized path
-    /// on the same RNG stream when the stream yields `count` answers.
-    pub fn measure_split_streaming<I: IntoIterator<Item = f64>>(
-        &self,
-        answers: I,
-        count: usize,
-        rng: &mut StdRng,
-    ) -> Vec<f64> {
-        let mut source = SamplingSource::new(rng);
-        let mut out = Vec::new();
-        self.measure_streaming_core(answers, count, &mut SourceDraws::new(&mut source), &mut out);
-        out
-    }
-
-    /// Streaming + scratch: lazy answers, tape-served noise.
-    pub fn measure_split_streaming_with_scratch<R: Rng + ?Sized, I: IntoIterator<Item = f64>>(
-        &self,
-        answers: I,
-        count: usize,
-        rng: &mut R,
-        scratch: &mut SvtScratch,
-    ) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.measure_split_streaming_with_scratch_into(answers, count, rng, scratch, &mut out);
-        out
-    }
-
-    /// Allocation-free twin of
-    /// [`measure_split_streaming_with_scratch`](Self::measure_split_streaming_with_scratch).
+    /// The lazy streaming entry: measures an answer stream through
+    /// [`ScratchDraws`] without materializing it, splitting the budget by
+    /// the caller-supplied `count` (sequential composition, as a slice call
+    /// splits it over `answers.len()`). Bit-identical to
+    /// [`Mechanism::call`](crate::api::Mechanism::call) through
+    /// [`ScratchDraws`] on the same RNG stream when the stream yields
+    /// `count` answers.
     pub fn measure_split_streaming_with_scratch_into<
         R: Rng + ?Sized,
         I: IntoIterator<Item = f64>,
@@ -264,6 +152,8 @@ impl StaircaseMechanism {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answers::QueryAnswers;
+    use crate::api::testing::reference;
     use crate::laplace_mech::LaplaceMechanism;
     use free_gap_noise::rng::rng_from_seed;
     use free_gap_noise::stats::RunningMoments;
@@ -282,8 +172,11 @@ mod tests {
         let m = StaircaseMechanism::new(2.0).unwrap();
         let mut rng = rng_from_seed(1);
         let mut err = RunningMoments::new();
+        let answers = QueryAnswers::general(vec![50.0, 60.0]);
         for _ in 0..100_000 {
-            let out = m.measure_split(&[50.0, 60.0], &mut rng);
+            let out = reference(&m, &answers, &mut rng)
+                .unwrap()
+                .into_measurements();
             err.push(out[0] - 50.0);
         }
         assert!(err.mean().abs() < 0.05, "bias {}", err.mean());

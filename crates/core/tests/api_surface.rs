@@ -1,18 +1,18 @@
-//! Pins the unified call surface (`free_gap_core::api`) to the historical
-//! per-mechanism entry points:
+//! Pins the unified call surface (`free_gap_core::api`):
 //!
-//! * `call_reference` is bit-identical to each mechanism's dyn `run` path;
-//! * `call_batched` is bit-identical to each mechanism's `*_with_scratch`
-//!   fast path;
+//! * `call_reference` and `call_batched` reproduce the reference provider
+//!   call (`Mechanism::call` through `SourceDraws`) bit for bit;
+//! * names and costs — what the bench grid and the serving ledger key on —
+//!   are stable;
 //! * the resumable streaming SVT (`stream_open`/`stream_feed`) is
 //!   bit-identical to a one-shot streaming run under any batching of the
 //!   query feed.
 //!
-//! Together with `tests/scratch_equivalence.rs` (which pins the fast paths
-//! to the dyn paths) this makes the new API surface a pure re-packaging:
-//! no mechanism's served distribution changes.
+//! Together with `tests/scratch_equivalence.rs` (which pins every provider
+//! and the lazy streaming entries to the reference) this makes the call
+//! surface a pure re-packaging: no mechanism's served distribution changes.
 
-use free_gap_core::answers::QueryAnswers;
+use free_gap_alignment::SamplingSource;
 use free_gap_core::api::{
     AnyMechanism, CallScratch, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice,
 };
@@ -20,10 +20,10 @@ use free_gap_core::exponential_mech::ExponentialMechanism;
 use free_gap_core::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap};
 use free_gap_core::sparse_vector::{
     AdaptiveSparseVector, ClassicSparseVector, DiscreteSparseVectorWithGap,
-    MultiBranchAdaptiveSparseVector, SparseVectorWithGap,
+    MultiBranchAdaptiveSparseVector, SparseVectorWithGap, SvOutput,
 };
 use free_gap_core::staircase_mech::StaircaseMechanism;
-use free_gap_core::{SvtScratch, TopKScratch};
+use free_gap_core::{SourceDraws, SvtScratch, TopKScratch};
 use free_gap_noise::rng::{derive_fast_stream, derive_stream};
 
 fn values() -> Vec<f64> {
@@ -52,115 +52,48 @@ fn grid() -> Vec<AnyMechanism> {
     ]
 }
 
-/// `call_reference` goes through the same dyn `SourceDraws` path as each
-/// mechanism's `run`, so on the same `StdRng` stream the outputs must be
-/// bit-identical.
+/// `call_reference` is `Mechanism::call` through `SourceDraws`, and
+/// `call_batched` picks each mechanism's fast provider (`RngDraws` or the
+/// `ScratchDraws` tape): on the same `StdRng` stream both must reproduce
+/// the reference provider call bit for bit.
 #[test]
-fn call_reference_matches_run_entry_points() {
+fn call_reference_and_call_batched_match_the_reference_provider() {
     let vals = values();
-    let answers = QueryAnswers::counting(vals.clone());
-    let req = QuerySlice::new(&vals);
-    for mech in grid() {
-        for seed in 0..20u64 {
-            let mut out = MechanismOutput::new_for(&mech);
-            mech.call_reference(&req, &mut derive_stream(seed, 0), &mut out)
-                .unwrap();
-            let expect = match &mech {
-                AnyMechanism::NoisyTopKWithGap(m) => {
-                    MechanismOutput::TopK(m.run(&answers, &mut derive_stream(seed, 0)).unwrap())
-                }
-                AnyMechanism::ClassicNoisyTopK(m) => {
-                    MechanismOutput::Indices(m.run(&answers, &mut derive_stream(seed, 0)).unwrap())
-                }
-                AnyMechanism::DiscreteNoisyTopKWithGap(m) => {
-                    MechanismOutput::TopK(m.run(&answers, &mut derive_stream(seed, 0)).unwrap())
-                }
-                AnyMechanism::Exponential(m) => MechanismOutput::Indices(
-                    m.mechanism()
-                        .run_top_k(&answers, m.k(), &mut derive_stream(seed, 0))
-                        .unwrap(),
-                ),
-                AnyMechanism::Staircase(m) => MechanismOutput::Measurements(
-                    m.measure_split(&vals, &mut derive_stream(seed, 0)),
-                ),
-                AnyMechanism::SparseVectorWithGap(m) => {
-                    MechanismOutput::SparseVector(m.run(&answers, &mut derive_stream(seed, 0)))
-                }
-                AnyMechanism::ClassicSparseVector(m) => {
-                    MechanismOutput::SparseVector(m.run(&answers, &mut derive_stream(seed, 0)))
-                }
-                AnyMechanism::AdaptiveSparseVector(m) => {
-                    MechanismOutput::Adaptive(m.run(&answers, &mut derive_stream(seed, 0)))
-                }
-                AnyMechanism::MultiBranchAdaptiveSparseVector(m) => {
-                    MechanismOutput::MultiBranch(m.run(&answers, &mut derive_stream(seed, 0)))
-                }
-                AnyMechanism::DiscreteSparseVectorWithGap(m) => {
-                    MechanismOutput::SparseVector(m.run(&answers, &mut derive_stream(seed, 0)))
-                }
-            };
-            assert_eq!(out, expect, "{} seed {seed}", mech.name());
-        }
-    }
-}
-
-/// `call_batched` picks each mechanism's historical fast provider, so on
-/// the same RNG stream it must be bit-identical to the mechanism's own
-/// `*_with_scratch` entry point.
-#[test]
-fn call_batched_matches_with_scratch_entry_points() {
-    let vals = values();
-    let answers = QueryAnswers::counting(vals.clone());
     let req = QuerySlice::new(&vals);
     for mech in grid() {
         let mut scratch = CallScratch::new();
-        let mut out = MechanismOutput::new_for(&mech);
+        let (mut reference, mut batched) = (
+            MechanismOutput::new_for(&mech),
+            MechanismOutput::new_for(&mech),
+        );
         for seed in 0..20u64 {
-            mech.call_batched(
+            let mut expect = MechanismOutput::new_for(&mech);
+            let mut rng = derive_stream(seed, 0);
+            let mut source = SamplingSource::new(&mut rng);
+            mech.call(
                 &req,
-                &mut derive_fast_stream(seed, 1),
-                &mut scratch,
-                &mut out,
+                &mut SourceDraws::new(&mut source),
+                &mut TopKScratch::new(),
+                &mut expect,
             )
             .unwrap();
-            let mut topk = TopKScratch::new();
-            let mut svt = SvtScratch::new();
-            let rng = &mut derive_fast_stream(seed, 1);
-            let expect = match &mech {
-                AnyMechanism::NoisyTopKWithGap(m) => {
-                    MechanismOutput::TopK(m.run_with_scratch(&answers, rng, &mut topk).unwrap())
-                }
-                AnyMechanism::ClassicNoisyTopK(m) => {
-                    MechanismOutput::Indices(m.run_with_scratch(&answers, rng, &mut topk).unwrap())
-                }
-                AnyMechanism::DiscreteNoisyTopKWithGap(m) => {
-                    MechanismOutput::TopK(m.run_with_scratch(&answers, rng, &mut topk).unwrap())
-                }
-                AnyMechanism::Exponential(m) => MechanismOutput::Indices(
-                    m.mechanism()
-                        .run_top_k_with_scratch(&answers, m.k(), rng, &mut topk)
-                        .unwrap(),
-                ),
-                AnyMechanism::Staircase(m) => MechanismOutput::Measurements(
-                    m.measure_split_with_scratch(&vals, rng, &mut svt),
-                ),
-                AnyMechanism::SparseVectorWithGap(m) => {
-                    MechanismOutput::SparseVector(m.run_with_scratch(&answers, rng, &mut svt))
-                }
-                AnyMechanism::ClassicSparseVector(m) => {
-                    MechanismOutput::SparseVector(m.run_with_scratch(&answers, rng, &mut svt))
-                }
-                AnyMechanism::AdaptiveSparseVector(m) => {
-                    MechanismOutput::Adaptive(m.run_with_scratch(&answers, rng, &mut svt))
-                }
-                AnyMechanism::MultiBranchAdaptiveSparseVector(m) => MechanismOutput::MultiBranch(
-                    m.run_streaming_with_scratch(vals.iter().copied(), rng, &mut svt),
-                ),
-                AnyMechanism::DiscreteSparseVectorWithGap(m) => {
-                    MechanismOutput::SparseVector(m.run_with_scratch(&answers, rng, &mut svt))
-                }
-            };
-            assert_eq!(out, expect, "{} seed {seed}", mech.name());
+            mech.call_reference(&req, &mut derive_stream(seed, 0), &mut reference)
+                .unwrap();
+            assert_eq!(reference, expect, "{} seed {seed} (reference)", mech.name());
+            mech.call_batched(
+                &req,
+                &mut derive_stream(seed, 0),
+                &mut scratch,
+                &mut batched,
+            )
+            .unwrap();
+            assert_eq!(batched, expect, "{} seed {seed} (batched)", mech.name());
+            assert_eq!(
+                batched.digest(0),
+                expect.digest(0),
+                "{} seed {seed}",
+                mech.name()
+            );
         }
     }
 }
@@ -207,22 +140,20 @@ fn resumable_stream_matches_one_shot() {
         &[3, 1, 4],
     ];
     for seed in 0..30u64 {
-        let one_shot_gap = {
-            let mut scratch = SvtScratch::new();
-            gap.run_streaming_with_scratch(
-                queries.iter().copied(),
-                &mut derive_fast_stream(seed, 2),
-                &mut scratch,
-            )
-        };
-        let one_shot_classic = {
-            let mut scratch = SvtScratch::new();
-            classic.run_streaming_with_scratch(
-                queries.iter().copied(),
-                &mut derive_fast_stream(seed, 2),
-                &mut scratch,
-            )
-        };
+        let mut one_shot_gap = SvOutput { above: Vec::new() };
+        gap.run_streaming_with_scratch_into(
+            queries.iter().copied(),
+            &mut derive_fast_stream(seed, 2),
+            &mut SvtScratch::new(),
+            &mut one_shot_gap,
+        );
+        let mut one_shot_classic = SvOutput { above: Vec::new() };
+        classic.run_streaming_with_scratch_into(
+            queries.iter().copied(),
+            &mut derive_fast_stream(seed, 2),
+            &mut SvtScratch::new(),
+            &mut one_shot_classic,
+        );
         for batching in batchings {
             assert_eq!(batching.iter().sum::<usize>(), queries.len());
             // Gap-releasing variant.

@@ -1,5 +1,5 @@
 //! Bench grid of the bad fixture tree. `GhostMechanism` is declared here
-//! but no type of that name exposes a scratch entry point anywhere.
+//! but no `Mechanism` impl anywhere returns that name.
 
 pub const MECHANISM_PATHS: [(&str, &[&str]); 2] = [
     ("BadMechanism", &["dyn", "scratch"]),

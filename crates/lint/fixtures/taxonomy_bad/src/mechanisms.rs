@@ -1,38 +1,62 @@
 //! R4 power-check fixture tree — every way the taxonomy can go incomplete.
 
-/// Has a scratch fast path but no `_into` twin, and no equivalence entry:
-/// the bench grid lists it, yet nothing proves the fast path correct and
-/// the timed loops cannot drive it allocation-free.
-impl BadMechanism {
-    pub fn run_with_scratch<R: Rng + ?Sized>(
+/// Implements `Mechanism` but has no `AnyMechanism` conversion and no
+/// equivalence entry: the bench grid lists it, yet neither the grid's
+/// dispatch loop nor the server can reach it, and nothing proves its
+/// providers agree.
+impl Mechanism for BadMechanism {
+    fn name(&self) -> &'static str {
+        "BadMechanism"
+    }
+
+    fn cost(&self) -> f64 {
+        self.epsilon
+    }
+
+    fn call<P: DrawProvider>(
         &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
-    ) -> Vec<GapOutcome> {
-        run_core(answers, &mut ScratchDraws::new(scratch, rng))
+        req: &QuerySlice<'_>,
+        provider: &mut P,
+        _scratch: &mut TopKScratch,
+        out: &mut MechanismOutput,
+    ) -> Result<(), MechanismError> {
+        self.run_core(req.values(), provider, out.sparse_vector_mut());
+        Ok(())
     }
 }
 
-/// Complete pair and equivalence entry — but never declared in
-/// `MECHANISM_PATHS`, so bench-check cannot guard its cell.
-impl UnbenchedMechanism {
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
-    ) -> Vec<GapOutcome> {
-        run_core(answers, &mut ScratchDraws::new(scratch, rng))
+/// Converts and has an equivalence entry — but its name was never declared
+/// in `MECHANISM_PATHS`, so bench-check cannot guard its cells.
+impl Mechanism for UnbenchedMechanism {
+    fn name(&self) -> &'static str {
+        "UnbenchedMechanism"
     }
 
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
+    fn cost(&self) -> f64 {
+        self.epsilon
+    }
+
+    fn call<P: DrawProvider>(
         &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
-        out: &mut Vec<GapOutcome>,
-    ) {
-        run_core_into(answers, &mut ScratchDraws::new(scratch, rng), out)
+        req: &QuerySlice<'_>,
+        provider: &mut P,
+        _scratch: &mut TopKScratch,
+        out: &mut MechanismOutput,
+    ) -> Result<(), MechanismError> {
+        self.run_core(req.values(), provider, out.measurements_mut());
+        Ok(())
+    }
+}
+
+impl From<UnbenchedMechanism> for AnyMechanism {
+    fn from(m: UnbenchedMechanism) -> Self {
+        Self::Unbenched(m)
+    }
+}
+
+/// A dispatch variant with no `Mechanism` impl behind it.
+impl From<OrphanMechanism> for AnyMechanism {
+    fn from(m: OrphanMechanism) -> Self {
+        Self::Orphan(m)
     }
 }

@@ -1,38 +1,82 @@
 //! R4 power-check fixture tree — a complete taxonomy. Must lint clean.
 
-/// Full pair: scratch fast path + allocation-free `_into` twin, with an
-/// equivalence entry and a bench grid cell.
-impl GoodMechanism {
-    pub fn run_with_scratch<R: Rng + ?Sized>(
-        &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
-    ) -> Vec<GapOutcome> {
-        run_core(answers, &mut ScratchDraws::new(scratch, rng))
+/// Complete: a conversion into the dispatch enum, a grid row for its name
+/// and an equivalence entry.
+impl Mechanism for GoodMechanism {
+    fn name(&self) -> &'static str {
+        "GoodMechanism"
     }
 
-    pub fn run_with_scratch_into<R: Rng + ?Sized>(
+    fn cost(&self) -> f64 {
+        self.epsilon
+    }
+
+    fn call<P: DrawProvider>(
         &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
-        rng: &mut R,
-        out: &mut Vec<GapOutcome>,
-    ) {
-        run_core_into(answers, &mut ScratchDraws::new(scratch, rng), out)
+        req: &QuerySlice<'_>,
+        provider: &mut P,
+        _scratch: &mut TopKScratch,
+        out: &mut MechanismOutput,
+    ) -> Result<(), MechanismError> {
+        self.run_core(req.values(), provider, out.sparse_vector_mut());
+        Ok(())
     }
 }
 
-impl ScalarMechanism {
-    /// Returns a single winner index — there is no output buffer to reuse,
-    /// so the `_into` twin is exempted rather than invented.
-    // lint:allow(taxonomy): scalar winner index; no buffer for an _into twin to reuse
-    pub fn run_with_scratch<R: Rng + ?Sized>(
+impl From<GoodMechanism> for AnyMechanism {
+    fn from(m: GoodMechanism) -> Self {
+        Self::Good(m)
+    }
+}
+
+/// A wrapper type whose grid name is its base mechanism's (the type and
+/// the `name()` literal may differ; the grid row follows the name).
+impl Mechanism for PeeledTopK {
+    fn name(&self) -> &'static str {
+        "PeeledMechanism"
+    }
+
+    fn cost(&self) -> f64 {
+        self.k as f64 * self.epsilon
+    }
+
+    fn call<P: DrawProvider>(
         &self,
-        answers: &QueryAnswers<'_>,
-        scratch: &mut SvtScratch,
+        req: &QuerySlice<'_>,
+        provider: &mut P,
+        scratch: &mut TopKScratch,
+        out: &mut MechanismOutput,
+    ) -> Result<(), MechanismError> {
+        self.race_core(req.values(), provider, scratch, out.indices_mut())
+    }
+}
+
+impl From<PeeledTopK> for AnyMechanism {
+    fn from(m: PeeledTopK) -> Self {
+        Self::Peeled(m)
+    }
+}
+
+/// The dispatcher itself is not a mechanism: its computed `name()` is
+/// skipped.
+impl Mechanism for AnyMechanism {
+    fn name(&self) -> &'static str {
+        match self {
+            Self::Good(m) => m.name(),
+            Self::Peeled(m) => m.name(),
+        }
+    }
+}
+
+/// An attack target with inherent entry points only: outside the taxonomy.
+impl LeakyZooVariant {
+    pub fn run_with_scratch_into<R: Rng + ?Sized>(
+        &self,
+        answers: &QueryAnswers,
         rng: &mut R,
-    ) -> usize {
-        select_core(answers, &mut ScratchDraws::new(scratch, rng))
+        scratch: &mut SvtScratch,
+        out: &mut SvOutput,
+    ) {
+        self.run_leaky_core(answers, &mut ScratchDraws::new(scratch, rng), out)
     }
 }

@@ -16,7 +16,7 @@
 //! | `stream-discipline` (R1) | no raw RNG/`NoiseSource` draws inside provider-generic cores or the blocked `ScratchDraws` provider — randomness flows through [`DrawProvider`] methods only |
 //! | `endpoint-guard` (R2) | every `.ln()` in a uniform transform clamps its operand with `.max(f64::MIN_POSITIVE)` |
 //! | `panic-freedom` (R3) | no `unwrap`/`expect`/`panic!`/`assert!` in non-test mechanism code — typed `MechanismError` or a justified allow |
-//! | `taxonomy` (R4) | every `*_with_scratch` fast path has its `_into` twin, a `scratch_equivalence` entry, and a `MECHANISM_PATHS` bench cell (cross-file) |
+//! | `taxonomy` (R4) | every `impl Mechanism for T` has a `From<T> for AnyMechanism`, a `name()` that is a `MECHANISM_PATHS` row, and a `scratch_equivalence` entry — conversions and grid rows checked back against the impls (cross-file) |
 //! | `budget-balance` (R5) | every `try_debit` handles its failure with a typed rejection; a debited share reaches exactly one `release` on every error path (dataflow) |
 //! | `lock-discipline` (R6) | a live guard never crosses another `.lock()` or a mechanism `call_*`; lock results absorb poisoning via `PoisonError::into_inner` (dataflow) |
 //! | `par-purity` (R7) | parallel block-fill closures are pure functions of (run seed, block index, disjoint slab) — no captured `&mut`, thread identity, statics, or entropy (dataflow) |
@@ -61,7 +61,8 @@ pub enum Rule {
     EndpointGuard,
     /// R3 — non-test mechanism code never panics.
     PanicFreedom,
-    /// R4 — the scratch/`_into`/equivalence/bench taxonomy is complete.
+    /// R4 — the Mechanism/`AnyMechanism`/bench-grid/equivalence taxonomy is
+    /// complete.
     Taxonomy,
     /// R5 — every `try_debit` is rejected-on-failure; debited shares reach
     /// exactly one `release` per path.

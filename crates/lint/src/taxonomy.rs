@@ -1,47 +1,54 @@
 //! R4 — taxonomy completeness, the cross-file structural rule.
 //!
-//! Every mechanism that exposes a `*_with_scratch` fast path must:
+//! Every mechanism runs as one core reached through `Mechanism::call`, so
+//! the taxonomy is the set of `impl Mechanism for T` blocks in the core
+//! sources. Each must:
 //!
-//! 1. expose the allocation-free `*_with_scratch_into` twin (the bench grid
-//!    drives the `_into` paths, so a missing twin silently drops the
-//!    mechanism out of the timed loops),
-//! 2. appear in the `scratch_equivalence` suite (otherwise nothing proves
-//!    the fast path bit-identical to the reference), and
-//! 3. appear in the bench `MECHANISM_PATHS` grid (otherwise `bench-check`
-//!    cannot notice the cell going missing).
+//! 1. have a `From<T> for AnyMechanism` conversion — the dispatch enum the
+//!    bench grid and the serving layer drive (a mechanism outside it is
+//!    unreachable from both), and every such conversion must belong to a
+//!    `Mechanism` impl;
+//! 2. return from `name()` a string literal that is a `MECHANISM_PATHS`
+//!    row (otherwise `bench-check` cannot notice its cells going missing),
+//!    and every row must be some mechanism's `name()` — a grid name
+//!    without a mechanism is exactly the drift this rule exists to catch;
+//! 3. appear in the `scratch_equivalence` suite (otherwise nothing proves
+//!    its providers bit-identical to the reference).
 //!
-//! The reverse directions hold too: every `MECHANISM_PATHS` name must
-//! resolve to a type with a scratch path and an equivalence entry — a
-//! mechanism added to the grid without an equivalence test is exactly the
-//! gap this rule exists to close.
-//!
-//! Exemptions use the same allow syntax as the token rules:
-//! `// lint:allow(taxonomy): reason` on (or above) the `fn` line skips the
-//! twin check for that entry point (e.g. a scalar-returning winner index
-//! with no buffer to reuse), and a file-level
-//! `// lint:allow-file(taxonomy): reason` skips a whole file (the broken
-//! zoo is attacked, not benched).
+//! `AnyMechanism`'s own `Mechanism` impl is the dispatcher, not a
+//! mechanism, and is skipped.
 
-use crate::allow;
 use crate::lexer::{lex, Token, TokenKind};
 use crate::{Diagnostic, Rule};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// One `*_with_scratch*` entry point found in the core sources.
-#[derive(Debug)]
-struct ScratchFn {
+/// The dispatch enum every mechanism converts into.
+const DISPATCH: &str = "AnyMechanism";
+
+/// Where an impl block starts.
+#[derive(Debug, Clone)]
+struct Site {
     file: PathBuf,
     line: u32,
-    allowed: bool,
+}
+
+/// One `impl Mechanism for T` block.
+#[derive(Debug)]
+struct MechanismImpl {
+    site: Site,
+    /// The string literal `name()` returns, when it returns one.
+    name: Option<String>,
 }
 
 /// Everything R4 extracts from the tree before cross-checking.
 #[derive(Debug, Default)]
 pub struct Inventory {
-    /// type name → method name → site.
-    types: BTreeMap<String, BTreeMap<String, ScratchFn>>,
+    /// Type → its `Mechanism` impl.
+    mechanisms: BTreeMap<String, MechanismImpl>,
+    /// Types with a `From<T> for AnyMechanism` conversion.
+    conversions: BTreeMap<String, Site>,
     /// Identifiers appearing in the equivalence suite.
     equivalence_idents: Vec<String>,
     /// Mechanism names in `MECHANISM_PATHS`, with the literal's line.
@@ -49,10 +56,16 @@ pub struct Inventory {
 }
 
 impl Inventory {
-    /// Sorted list of mechanism type names exposing a scratch fast path —
-    /// the seed for the exhaustiveness test that pins today's taxonomy.
-    pub fn mechanism_types(&self) -> Vec<String> {
-        self.types.keys().cloned().collect()
+    /// Sorted `name()` literals of the `Mechanism` impls — the seed for the
+    /// exhaustiveness test that pins today's taxonomy.
+    pub fn mechanism_names(&self) -> Vec<String> {
+        let mut v: Vec<String> = self
+            .mechanisms
+            .values()
+            .filter_map(|m| m.name.clone())
+            .collect();
+        v.sort();
+        v
     }
 
     /// Sorted mechanism names of the bench grid.
@@ -68,7 +81,7 @@ impl Inventory {
 pub fn inventory(core_src: &Path, equivalence: &Path, perf: &Path) -> io::Result<Inventory> {
     let mut inv = Inventory::default();
     for file in crate::rust_files(core_src)? {
-        collect_scratch_fns(&file, &mut inv)?;
+        collect_impls(&file, &mut inv)?;
     }
     let eq_src = std::fs::read_to_string(equivalence)?;
     inv.equivalence_idents = lex(&eq_src)
@@ -82,123 +95,116 @@ pub fn inventory(core_src: &Path, equivalence: &Path, perf: &Path) -> io::Result
     Ok(inv)
 }
 
+fn finding(file: &Path, line: u32, message: String) -> Diagnostic {
+    Diagnostic {
+        file: file.to_path_buf(),
+        line,
+        rule: Rule::Taxonomy,
+        allow: crate::AllowState::None,
+        message,
+    }
+}
+
 /// Runs the cross-checks over a collected inventory.
 pub fn check(inv: &Inventory, equivalence: &Path, perf: &Path, out: &mut Vec<Diagnostic>) {
-    for (ty, fns) in &inv.types {
-        let mut anchor: Option<(&PathBuf, u32)> = None;
-        for (name, site) in fns {
-            anchor.get_or_insert((&site.file, site.line));
-            if name.ends_with("_with_scratch") && !site.allowed {
-                let twin = format!("{name}_into");
-                if !fns.contains_key(&twin) {
-                    out.push(Diagnostic {
-                        file: site.file.clone(),
-                        line: site.line,
-                        rule: Rule::Taxonomy,
-                        allow: crate::AllowState::None,
-                        message: format!(
-                            "`{ty}::{name}` has no `{twin}` twin: every scratch fast path \
-                             needs the out-parameter variant the bench grid drives \
-                             (allocation-free timed loops)"
-                        ),
-                    });
-                }
-            }
+    for (ty, m) in &inv.mechanisms {
+        let Site { file, line } = &m.site;
+        if !inv.conversions.contains_key(ty) {
+            out.push(finding(
+                file,
+                *line,
+                format!(
+                    "`{ty}` implements Mechanism but has no `From<{ty}> for {DISPATCH}`: \
+                     neither the bench grid nor the server can reach it"
+                ),
+            ));
         }
-        let (file, line) = anchor.map(|(f, l)| (f.clone(), l)).unwrap_or_default();
+        match &m.name {
+            None => out.push(finding(
+                file,
+                *line,
+                format!(
+                    "`{ty}`'s `Mechanism::name()` must return a string literal so its \
+                     MECHANISM_PATHS row can be checked"
+                ),
+            )),
+            Some(name) if !inv.grid.iter().any(|(n, _)| n == name) => out.push(finding(
+                file,
+                *line,
+                format!(
+                    "`{ty}` is named \"{name}\" but MECHANISM_PATHS ({}) has no such row: \
+                     bench-check cannot guard cells that were never declared",
+                    perf.display()
+                ),
+            )),
+            Some(_) => {}
+        }
         if !inv.equivalence_idents.iter().any(|i| i == ty) {
-            out.push(Diagnostic {
-                file: file.clone(),
-                line,
-                rule: Rule::Taxonomy,
-                allow: crate::AllowState::None,
-                message: format!(
-                    "`{ty}` exposes a scratch fast path but never appears in the \
-                     scratch_equivalence suite ({}): nothing proves the fast path \
+            out.push(finding(
+                file,
+                *line,
+                format!(
+                    "`{ty}` implements Mechanism but never appears in the \
+                     scratch_equivalence suite ({}): nothing proves its providers \
                      bit-identical to the reference",
                     equivalence.display()
                 ),
-            });
+            ));
         }
-        if !inv.grid.iter().any(|(n, _)| n == ty) {
-            out.push(Diagnostic {
+    }
+    for (ty, Site { file, line }) in &inv.conversions {
+        if !inv.mechanisms.contains_key(ty) {
+            out.push(finding(
                 file,
-                line,
-                rule: Rule::Taxonomy,
-                allow: crate::AllowState::None,
-                message: format!(
-                    "`{ty}` exposes a scratch fast path but is missing from \
-                     MECHANISM_PATHS ({}): bench-check cannot guard cells that \
-                     were never declared",
-                    perf.display()
+                *line,
+                format!(
+                    "`From<{ty}> for {DISPATCH}` exists but `{ty}` does not implement Mechanism"
                 ),
-            });
+            ));
         }
     }
     for (name, line) in &inv.grid {
-        if !inv.types.contains_key(name) {
-            out.push(Diagnostic {
-                file: perf.to_path_buf(),
-                line: *line,
-                rule: Rule::Taxonomy,
-                allow: crate::AllowState::None,
-                message: format!(
-                    "MECHANISM_PATHS lists `{name}` but no type of that name exposes a \
-                     `*_with_scratch` entry point in the core sources"
+        if !inv
+            .mechanisms
+            .values()
+            .any(|m| m.name.as_deref() == Some(name.as_str()))
+        {
+            out.push(finding(
+                perf,
+                *line,
+                format!(
+                    "MECHANISM_PATHS lists `{name}` but no `Mechanism` impl in the core \
+                     sources returns that name"
                 ),
-            });
-        }
-        if !inv.equivalence_idents.iter().any(|i| i == name) {
-            out.push(Diagnostic {
-                file: perf.to_path_buf(),
-                line: *line,
-                rule: Rule::Taxonomy,
-                allow: crate::AllowState::None,
-                message: format!(
-                    "`{name}` is benched in MECHANISM_PATHS but has no \
-                     scratch_equivalence entry ({}): a grid cell without an \
-                     equivalence test can drift from the reference unnoticed",
-                    equivalence.display()
-                ),
-            });
+            ));
         }
     }
 }
 
-/// Collects `fn *_with_scratch*` names per impl type from one file.
-fn collect_scratch_fns(path: &Path, inv: &mut Inventory) -> io::Result<()> {
+/// Collects `impl Mechanism for T` blocks (with their `name()` literal)
+/// and `impl From<T> for AnyMechanism` conversions from one file.
+fn collect_impls(path: &Path, inv: &mut Inventory) -> io::Result<()> {
     let src = std::fs::read_to_string(path)?;
-    let lexed = lex(&src);
-    let allows = allow::parse(&lexed.comments);
-    if allows.is_allowed(Rule::Taxonomy, u32::MAX) {
-        // File-level allow: nothing in this file participates in R4.
-        return Ok(());
-    }
-    let toks = &lexed.tokens;
+    let toks = lex(&src).tokens;
     let mut i = 0usize;
     while i < toks.len() {
         if toks[i].kind == TokenKind::Ident && toks[i].text == "impl" {
-            if let Some((ty, body_start)) = parse_impl_header(toks, i + 1) {
-                let body_end = matching_brace(toks, body_start);
-                let mut j = body_start + 1;
-                while j + 1 < body_end {
-                    if toks[j].kind == TokenKind::Ident
-                        && toks[j].text == "fn"
-                        && toks[j + 1].kind == TokenKind::Ident
-                        && toks[j + 1].text.contains("_with_scratch")
-                    {
-                        let name = toks[j + 1].text.clone();
-                        let line = toks[j].line;
-                        inv.types.entry(ty.clone()).or_default().insert(
-                            name,
-                            ScratchFn {
-                                file: path.to_path_buf(),
-                                line,
-                                allowed: allows.is_allowed(Rule::Taxonomy, line),
-                            },
-                        );
+            if let Some(header) = parse_impl_header(&toks, i + 1) {
+                let body_end = matching_brace(&toks, header.body_start);
+                let site = Site {
+                    file: path.to_path_buf(),
+                    line: toks[i].line,
+                };
+                match (header.trait_name.as_deref(), header.trait_arg) {
+                    (Some("Mechanism"), _) if header.self_ty != DISPATCH => {
+                        let name = name_literal(&toks[header.body_start..body_end]);
+                        inv.mechanisms
+                            .insert(header.self_ty, MechanismImpl { site, name });
                     }
-                    j += 1;
+                    (Some("From"), Some(arg)) if header.self_ty == DISPATCH => {
+                        inv.conversions.insert(arg, site);
+                    }
+                    _ => {}
                 }
                 i = body_end;
                 continue;
@@ -209,10 +215,35 @@ fn collect_scratch_fns(path: &Path, inv: &mut Inventory) -> io::Result<()> {
     Ok(())
 }
 
-/// Parses an impl header starting right after the `impl` token. Returns the
-/// implemented type's name (the path after `for` when present, the
-/// self-type otherwise) and the index of the body's `{`.
-fn parse_impl_header(toks: &[Token], mut i: usize) -> Option<(String, usize)> {
+/// The first string literal after `fn name` in an impl body.
+fn name_literal(body: &[Token]) -> Option<String> {
+    let at = body.windows(2).position(|w| {
+        w[0].kind == TokenKind::Ident
+            && w[0].text == "fn"
+            && w[1].kind == TokenKind::Ident
+            && w[1].text == "name"
+    })?;
+    body[at..]
+        .iter()
+        .find(|t| t.kind == TokenKind::Literal)
+        .map(|t| t.text.clone())
+}
+
+/// A parsed impl header.
+#[derive(Debug, PartialEq)]
+struct ImplHeader {
+    /// The implemented trait's name (`None` for an inherent impl).
+    trait_name: Option<String>,
+    /// The trait's first generic argument (`T` in `From<T>`).
+    trait_arg: Option<String>,
+    /// The implementing type's name.
+    self_ty: String,
+    /// Index of the body's `{`.
+    body_start: usize,
+}
+
+/// Parses an impl header starting right after the `impl` token.
+fn parse_impl_header(toks: &[Token], mut i: usize) -> Option<ImplHeader> {
     // Skip `<generics>` (angle depth; impl headers contain no `->`).
     if matches!(toks.get(i).map(|t| &t.kind), Some(TokenKind::Punct('<'))) {
         let mut depth = 0i32;
@@ -231,21 +262,44 @@ fn parse_impl_header(toks: &[Token], mut i: usize) -> Option<(String, usize)> {
             i += 1;
         }
     }
-    let mut ty: Option<String> = None;
+    // First ident at angle depth 0 (the trait, or the self-type of an
+    // inherent impl), its first generic argument, and the first ident
+    // after `for`.
+    let (mut first, mut first_arg, mut after_for) = (None, None, None);
+    let mut seen_for = false;
+    let mut in_where = false;
     let mut depth = 0i32;
     while i < toks.len() {
         match &toks[i].kind {
             TokenKind::Punct('<') => depth += 1,
             TokenKind::Punct('>') => depth -= 1,
-            TokenKind::Punct('{') if depth <= 0 => return ty.map(|t| (t, i)),
-            TokenKind::Ident if depth <= 0 => {
+            TokenKind::Punct('{') if depth <= 0 => {
+                let (trait_name, trait_arg, self_ty) = if seen_for {
+                    (first, first_arg, after_for?)
+                } else {
+                    (None, None, first?)
+                };
+                return Some(ImplHeader {
+                    trait_name,
+                    trait_arg,
+                    self_ty,
+                    body_start: i,
+                });
+            }
+            TokenKind::Ident if !in_where && toks[i].text != "dyn" => {
                 let t = toks[i].text.as_str();
-                if t == "for" {
-                    ty = None; // the self-type follows; restart capture
-                } else if t == "where" {
-                    // bounds only from here on; keep the captured type
-                } else if ty.is_none() && t != "dyn" {
-                    ty = Some(t.to_string());
+                if depth <= 0 && t == "for" {
+                    seen_for = true;
+                } else if depth <= 0 && t == "where" {
+                    in_where = true; // bounds only from here on
+                } else if seen_for {
+                    if depth <= 0 && after_for.is_none() {
+                        after_for = Some(t.to_string());
+                    }
+                } else if depth <= 0 && first.is_none() {
+                    first = Some(t.to_string());
+                } else if depth == 1 && first.is_some() && first_arg.is_none() {
+                    first_arg = Some(t.to_string());
                 }
             }
             _ => {}
@@ -338,22 +392,46 @@ fn grid_mechanisms(toks: &[Token]) -> Vec<(String, u32)> {
 mod tests {
     use super::*;
 
+    fn header(src: &str) -> (Option<String>, Option<String>, String) {
+        let toks = lex(src).tokens;
+        let h = parse_impl_header(&toks, 1).expect(src);
+        (h.trait_name, h.trait_arg, h.self_ty)
+    }
+
     #[test]
-    fn impl_header_variants_resolve_the_self_type() {
-        let cases = [
-            ("impl NoisyTopKWithGap { }", "NoisyTopKWithGap"),
-            (
-                "impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> { }",
-                "ScratchDraws",
-            ),
-            ("impl Default for SvtScratch { }", "SvtScratch"),
-            ("impl<T> Foo<T> where T: Clone { }", "Foo"),
-        ];
-        for (src, want) in cases {
-            let toks = lex(src).tokens;
-            let (ty, _) = parse_impl_header(&toks, 1).expect(src);
-            assert_eq!(ty, want, "{src}");
-        }
+    fn impl_header_variants_resolve_trait_and_self_type() {
+        let s = |x: &str| Some(x.to_string());
+        assert_eq!(
+            header("impl NoisyTopKWithGap { }"),
+            (None, None, "NoisyTopKWithGap".into())
+        );
+        assert_eq!(
+            header("impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> { }"),
+            (s("DrawProvider"), None, "ScratchDraws".into())
+        );
+        assert_eq!(
+            header("impl From<StaircaseMechanism> for AnyMechanism { }"),
+            (s("From"), s("StaircaseMechanism"), "AnyMechanism".into())
+        );
+        assert_eq!(
+            header("impl Mechanism for ExponentialTopK { }"),
+            (s("Mechanism"), None, "ExponentialTopK".into())
+        );
+        assert_eq!(
+            header("impl<T> Foo<T> where T: Clone { }"),
+            (None, None, "Foo".into())
+        );
+    }
+
+    #[test]
+    fn name_literal_reads_the_name_fn_only() {
+        let src = r#"impl Mechanism for X {
+            fn cost(&self) -> f64 { self.eps }
+            fn name(&self) -> &'static str { "XMechanism" }
+        }"#;
+        let toks = lex(src).tokens;
+        assert_eq!(name_literal(&toks), Some("XMechanism".to_string()));
+        assert_eq!(name_literal(&lex("impl X { fn run() {} }").tokens), None);
     }
 
     #[test]

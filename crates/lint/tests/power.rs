@@ -210,36 +210,35 @@ fn real_tree_lints_clean_under_all_rules() {
 
 #[test]
 fn taxonomy_inventory_pins_todays_mechanism_list() {
-    // Exhaustiveness seed: the exact set of benched mechanisms today. Adding
-    // a mechanism to MECHANISM_PATHS updates this list — and R4 then forces
-    // the scratch_equivalence entry and the `_into` twin to exist before the
-    // tree lints clean again. Removing one must also be deliberate.
+    // Exhaustiveness seed: the exact set of mechanisms today, one
+    // `Mechanism` impl per MECHANISM_PATHS row. Adding a mechanism updates
+    // this list — and R4 then forces its `AnyMechanism` conversion, grid
+    // row and scratch_equivalence entry to exist before the tree lints
+    // clean again. Removing one must also be deliberate.
     let layout = TreeLayout::at(&repo_root());
     let inv = taxonomy::inventory(&layout.core_src, &layout.equivalence, &layout.perf)
         .expect("inventory");
+    let today = [
+        "AdaptiveSparseVector",
+        "ClassicNoisyTopK",
+        "ClassicSparseVector",
+        "DiscreteNoisyTopKWithGap",
+        "DiscreteSparseVectorWithGap",
+        "ExponentialMechanism",
+        "MultiBranchAdaptiveSparseVector",
+        "NoisyTopKWithGap",
+        "SparseVectorWithGap",
+        "StaircaseMechanism",
+    ];
     assert_eq!(
         inv.grid_mechanisms(),
-        [
-            "AdaptiveSparseVector",
-            "ClassicNoisyTopK",
-            "ClassicSparseVector",
-            "DiscreteNoisyTopKWithGap",
-            "DiscreteSparseVectorWithGap",
-            "ExponentialMechanism",
-            "MultiBranchAdaptiveSparseVector",
-            "NoisyTopKWithGap",
-            "SparseVectorWithGap",
-            "StaircaseMechanism",
-        ],
+        today,
         "MECHANISM_PATHS changed: update this seed AND make sure the \
-         scratch_equivalence + _into taxonomy is complete for the new set"
+         Mechanism/AnyMechanism/equivalence taxonomy is complete for the new set"
     );
-    // Every benched mechanism's type must be in the scratch-fn inventory.
-    let types = inv.mechanism_types();
-    for m in inv.grid_mechanisms() {
-        assert!(
-            types.contains(&m),
-            "grid mechanism {m} has no *_with_scratch entry point"
-        );
-    }
+    assert_eq!(
+        inv.mechanism_names(),
+        today,
+        "the Mechanism impls' names drifted from the grid"
+    );
 }

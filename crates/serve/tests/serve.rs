@@ -9,6 +9,7 @@
 
 use free_gap_core::noisy_max::NoisyTopKWithGap;
 use free_gap_core::sparse_vector::SparseVectorWithGap;
+use free_gap_core::staircase_mech::StaircaseMechanism;
 use free_gap_serve::server::RejectReason;
 use free_gap_serve::{
     BudgetLedger, MechanismRequest, MechanismResponse, QueryServer, RequestBody, ServeBenchConfig,
@@ -269,6 +270,40 @@ fn budget_rejections_are_typed_and_leave_state_unchanged() {
         server.handle(&stray, &mut scratch),
         MechanismResponse::Rejected(RejectReason::UnknownTenant)
     );
+}
+
+/// Regression: an exhausted tenant used to keep serving tiny-ε calls,
+/// because the accountant clamped `spent` back to the total after each
+/// debit that fit in the 1e-12 relative slack.
+#[test]
+fn exhausted_tenant_rejects_tiny_epsilon_calls() {
+    let total = 1.0;
+    let eps = 5e-13;
+    let server = QueryServer::new(13);
+    server.register_tenant(0, total).unwrap();
+    let call = |epsilon: f64| MechanismRequest {
+        tenant: 0,
+        body: RequestBody::Call {
+            mechanism: StaircaseMechanism::new(epsilon).unwrap().into(),
+            queries: vec![1.0, 2.0],
+        },
+    };
+    let mut scratch = WorkerScratch::new();
+    assert!(matches!(
+        server.handle(&call(total), &mut scratch),
+        MechanismResponse::Output(_)
+    ));
+    let tiny = call(eps);
+    let served = (0..10_000)
+        .filter(|_| !server.handle(&tiny, &mut scratch).is_rejected())
+        .count();
+    let bound = (1e-12 * total / eps).floor() as usize + 1;
+    assert!(
+        served <= bound,
+        "{served} tiny calls served after exhaustion"
+    );
+    let spent = server.spent(0).unwrap();
+    assert!(spent <= total * (1.0 + 1e-12), "spent {spent}");
 }
 
 /// The acceptance pin: a fixed-seed serve-bench run is bit-reproducible

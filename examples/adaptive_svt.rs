@@ -27,6 +27,7 @@ fn main() {
         answers.len()
     );
 
+    let req = QuerySlice::from_answers(&answers);
     let runs = 500;
     let mut svt_total = 0usize;
     let mut adaptive_total = 0usize;
@@ -34,10 +35,19 @@ fn main() {
     let mut remaining = 0.0;
     for run in 0..runs {
         let mut rng = derive_stream(41, run);
-        let svt = ClassicSparseVector::new(k, epsilon, threshold, true).unwrap();
-        let adaptive = AdaptiveSparseVector::new(k, epsilon, threshold, true).unwrap();
-        let s = svt.run(&answers, &mut rng);
-        let a = adaptive.run(&answers, &mut rng);
+        let svt: AnyMechanism = ClassicSparseVector::new(k, epsilon, threshold, true)
+            .unwrap()
+            .into();
+        let adaptive: AnyMechanism = AdaptiveSparseVector::new(k, epsilon, threshold, true)
+            .unwrap()
+            .into();
+        let (mut s, mut a) = (
+            MechanismOutput::new_for(&svt),
+            MechanismOutput::new_for(&adaptive),
+        );
+        svt.call_reference(&req, &mut rng, &mut s).unwrap();
+        adaptive.call_reference(&req, &mut rng, &mut a).unwrap();
+        let (s, a) = (s.sparse_vector_mut(), a.adaptive_mut());
         svt_total += s.answered();
         adaptive_total += a.answered();
         top_total += a.answered_via(Branch::Top);
@@ -58,8 +68,11 @@ fn main() {
 
     // One run in detail: gaps + free 95% lower-confidence bounds (Lemma 5).
     let adaptive = AdaptiveSparseVector::new(k, epsilon, threshold, true).unwrap();
-    let mut rng = rng_from_seed(5);
-    let out = adaptive.run(&answers, &mut rng);
+    let mut out = MechanismOutput::new_for(&adaptive.into());
+    AnyMechanism::from(adaptive)
+        .call_reference(&req, &mut rng_from_seed(5), &mut out)
+        .unwrap();
+    let out = out.adaptive_mut();
     println!(
         "\none run: answered {} queries; first five with certificates:",
         out.answered()

@@ -34,14 +34,18 @@ fn main() {
 
     println!("confidence   offset t_c   empirical coverage   certifies q ≥ T?");
     let runs = 30_000;
+    let mech = AnyMechanism::from(m);
+    let req = QuerySlice::from_answers(&answers);
+    let mut out = MechanismOutput::new_for(&mech);
     for confidence in [0.5, 0.8, 0.9, 0.95, 0.99] {
         let t_c = gap_confidence_offset(rate_query, rate_threshold, confidence).unwrap();
         let mut covered = 0usize;
         let mut certified = 0usize;
         let mut answered = 0usize;
         for run in 0..runs {
-            let mut rng = derive_stream(17, run);
-            if let Some((_, gap)) = m.run(&answers, &mut rng).gaps().first() {
+            mech.call_reference(&req, &mut derive_stream(17, run), &mut out)
+                .unwrap();
+            if let Some((_, gap)) = out.sparse_vector_mut().gaps().first() {
                 answered += 1;
                 let lower = gap + threshold - t_c;
                 if lower <= truth {

@@ -20,8 +20,17 @@ fn main() {
     let (k, epsilon) = (5, 1.0);
 
     // --- Discrete-Laplace Top-K on integer counts (γ = 1) ---
-    let mech = DiscreteNoisyTopKWithGap::new(k, epsilon, true).unwrap();
-    let out = mech.run(&answers, &mut rng_from_seed(1)).unwrap();
+    let mech: AnyMechanism = DiscreteNoisyTopKWithGap::new(k, epsilon, true)
+        .unwrap()
+        .into();
+    let mut out = MechanismOutput::new_for(&mech);
+    mech.call_reference(
+        &QuerySlice::from_answers(&answers),
+        &mut rng_from_seed(1),
+        &mut out,
+    )
+    .unwrap();
+    let out = out.top_k_mut();
     println!("discrete Noisy-Top-{k}-with-Gap (γ = 1, integer counts):");
     for item in &out.items {
         println!(
@@ -55,7 +64,8 @@ fn main() {
         .collect();
     for eps in [0.5, 2.0, 8.0] {
         let lap = LaplaceMechanism::new(eps).unwrap();
-        let stair = StaircaseMechanism::new(eps).unwrap();
+        let stair = AnyMechanism::from(StaircaseMechanism::new(eps).unwrap());
+        let mut measured = MechanismOutput::new_for(&stair);
         let mut lap_sse = 0.0;
         let mut stair_sse = 0.0;
         let runs = 20_000;
@@ -64,7 +74,10 @@ fn main() {
             for (m, t) in lap.run(&truths, &mut rng).iter().zip(&truths) {
                 lap_sse += (m - t) * (m - t);
             }
-            for (m, t) in stair.measure_split(&truths, &mut rng).iter().zip(&truths) {
+            stair
+                .call_reference(&QuerySlice::new(&truths), &mut rng, &mut measured)
+                .unwrap();
+            for (m, t) in measured.measurements_mut().iter().zip(&truths) {
                 stair_sse += (m - t) * (m - t);
             }
         }

@@ -23,16 +23,23 @@ fn main() {
     let epsilon = 1.0;
     let k = 3;
     let mut rng = rng_from_seed(2019);
+    // Every mechanism takes the same request and fills the same output
+    // enum; `call_reference` draws its noise through the dyn reference
+    // provider (`call_batched` would pick the batched fast one).
+    let req = QuerySlice::from_answers(&answers);
 
     // The classic mechanism: indices only.
-    let classic = ClassicNoisyTopK::new(k, epsilon, true).unwrap();
-    let indices = classic.run(&answers, &mut rng).unwrap();
+    let classic: AnyMechanism = ClassicNoisyTopK::new(k, epsilon, true).unwrap().into();
+    let mut out = MechanismOutput::new_for(&classic);
+    classic.call_reference(&req, &mut rng, &mut out).unwrap();
+    let indices = out.indices_mut();
     println!("\nclassic Noisy Top-{k} (ε = {epsilon}): items {indices:?} — and that's all");
 
     // The paper's mechanism: same privacy cost, same selection quality,
     // plus one free gap per selected query.
-    let with_gap = NoisyTopKWithGap::new(k, epsilon, true).unwrap();
-    let out = with_gap.run(&answers, &mut rng).unwrap();
+    let with_gap: AnyMechanism = NoisyTopKWithGap::new(k, epsilon, true).unwrap().into();
+    with_gap.call_reference(&req, &mut rng, &mut out).unwrap();
+    let out = out.top_k_mut();
     println!("\nNoisy-Top-{k}-with-Gap (ε = {epsilon}, same cost):");
     for (rank, item) in out.items.iter().enumerate() {
         println!(
@@ -46,7 +53,7 @@ fn main() {
 
     // The gaps telescope: a free estimate of the spread between the best
     // and the runner-up after the selection, with known variance.
-    let spread = pairwise_gap(&out, 1, k + 1);
+    let spread = pairwise_gap(out, 1, k + 1);
     let sd = pairwise_gap_variance(k, epsilon, true).sqrt();
     println!("\nfree estimate of (best − runner-up after top-{k}): {spread:.1} ± {sd:.1} (1σ)",);
     println!("privacy spent either way: ε = {epsilon} — the gaps cost nothing.");

@@ -11,7 +11,7 @@
 //! Run with `cargo run --release --example streaming_svt`.
 
 use free_gap::prelude::*;
-use free_gap_core::sparse_vector::AdaptiveOutcome;
+use free_gap_core::sparse_vector::{AdaptiveOutcome, AdaptiveSvOutput, SvOutput};
 use free_gap_noise::rng::{derive_stream, splitmix64};
 use std::cell::Cell;
 
@@ -43,14 +43,24 @@ fn main() {
     let svt = SparseVectorWithGap::new(k, 0.7, threshold, true).unwrap();
     let adaptive = AdaptiveSparseVector::new(k, 0.7, threshold, true).unwrap();
     let mut scratch = SvtScratch::new();
+    let mut out = SvOutput { above: Vec::new() };
+    let mut adaptive_out = AdaptiveSvOutput {
+        outcomes: Vec::new(),
+        spent: 0.0,
+        epsilon: 0.0,
+    };
 
     for shard in 0..shards {
         // Count how many answers the mechanism actually pulls: the early
         // stop means this is a small prefix of the million-query stream.
         let pulled = Cell::new(0usize);
         let stream = shard_stream(shard, stream_len).inspect(|_| pulled.set(pulled.get() + 1));
-        let out =
-            svt.run_streaming_with_scratch(stream, &mut derive_stream(42, shard), &mut scratch);
+        svt.run_streaming_with_scratch_into(
+            stream,
+            &mut derive_stream(42, shard),
+            &mut scratch,
+            &mut out,
+        );
         println!(
             "shard {shard}: SparseVectorWithGap answered {:>2} tops, pulled {:>6} of {stream_len} queries ({:.3}% of the stream)",
             out.answered(),
@@ -60,7 +70,13 @@ fn main() {
 
         let pulled = Cell::new(0usize);
         let stream = shard_stream(shard, stream_len).inspect(|_| pulled.set(pulled.get() + 1));
-        let out = adaptive.run_streaming(stream, &mut derive_stream(1042, shard));
+        let out = &mut adaptive_out;
+        adaptive.run_streaming_with_scratch_into(
+            stream,
+            &mut derive_stream(1042, shard),
+            &mut scratch,
+            out,
+        );
         let top = out.answered_via(Branch::Top);
         let first_gap = out.outcomes.iter().find_map(|o| match o {
             AdaptiveOutcome::Above { gap, .. } => Some(*gap),

@@ -30,9 +30,15 @@ fn main() {
     let mut sse_baseline = 0.0;
     let mut sse_blue = 0.0;
     let mut pairs = 0usize;
+    // The protocol (f = 1/2 split, BLUE) is one function; the draw
+    // provider is the caller's choice — `RngDraws` is the batched,
+    // draw-exact one.
+    let mut scratch = TopKScratch::new();
     for run in 0..runs {
         let mut rng = derive_stream(99, run);
-        let r = topk_select_measure(&answers, k, epsilon, &mut rng).unwrap();
+        let mut provider = RngDraws::new(&mut rng);
+        let r =
+            topk_select_measure(&answers, k, epsilon, 0.5, &mut provider, &mut scratch).unwrap();
         for i in 0..k {
             sse_baseline += (r.measurements[i] - r.truths[i]).powi(2);
             sse_blue += (r.blue[i] - r.truths[i]).powi(2);
@@ -52,7 +58,8 @@ fn main() {
 
     // One concrete run, for intuition.
     let mut rng = rng_from_seed(7);
-    let r = topk_select_measure(&answers, k, epsilon, &mut rng).unwrap();
+    let mut provider = RngDraws::new(&mut rng);
+    let r = topk_select_measure(&answers, k, epsilon, 0.5, &mut provider, &mut scratch).unwrap();
     println!("\none run, per-query estimates (true / measured / BLUE):");
     for i in 0..k {
         println!(

@@ -36,12 +36,24 @@
 //!
 //! // Five counting queries; ask for the top 2 with free gaps at ε = 1.
 //! let answers = QueryAnswers::counting(vec![120.0, 40.0, 97.0, 80.0, 3.0]);
-//! let mech = NoisyTopKWithGap::new(2, 1.0, true).unwrap();
+//! let mech: AnyMechanism = NoisyTopKWithGap::new(2, 1.0, true).unwrap().into();
+//! let mut out = MechanismOutput::new_for(&mech);
 //! let mut rng = rng_from_seed(42);
-//! let out = mech.run(&answers, &mut rng).unwrap();
+//! mech.call_batched(
+//!     &QuerySlice::from_answers(&answers),
+//!     &mut rng,
+//!     &mut CallScratch::new(),
+//!     &mut out,
+//! )
+//! .unwrap();
+//! let MechanismOutput::TopK(top) = &out else { unreachable!() };
 //! println!("winner: query #{} (gap to runner-up ≈ {:.1})",
-//!          out.items[0].index, out.items[0].gap);
+//!          top.items[0].index, top.items[0].gap);
 //! ```
+//!
+//! Every mechanism is reached the same way: [`core::Mechanism::call`] with
+//! a caller-chosen draw provider, or [`core::AnyMechanism`]'s
+//! `call_batched` / `call_reference` / `call_par` conveniences.
 //!
 //! See `examples/` for full select-measure-postprocess workflows and the
 //! `repro` binary (`cargo run --release -p free-gap-bench --bin repro -- all`)
@@ -59,18 +71,21 @@ pub use free_gap_noise as noise;
 pub mod prelude {
     pub use free_gap_alignment::{check_alignment, AlignedMechanism};
     pub use free_gap_core::answers::QueryAnswers;
+    pub use free_gap_core::api::{
+        AnyMechanism, CallScratch, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice,
+    };
     pub use free_gap_core::budget::PrivacyBudget;
+    pub use free_gap_core::draw::{DrawProvider, RngDraws, ScratchDraws, SourceDraws};
     pub use free_gap_core::exponential_mech::ExponentialMechanism;
     pub use free_gap_core::laplace_mech::LaplaceMechanism;
     pub use free_gap_core::metrics::{mse_improvement_percent, selection_quality};
     pub use free_gap_core::noisy_max::{
-        pairwise_gap, pairwise_gap_variance, ClassicNoisyMax, ClassicNoisyTopK,
-        DiscreteNoisyTopKWithGap, NoisyMaxWithGap, NoisyTopKWithGap, TopKOutput,
+        pairwise_gap, pairwise_gap_variance, ClassicNoisyTopK, DiscreteNoisyTopKWithGap,
+        NoisyTopKWithGap, TopKOutput,
     };
     pub use free_gap_core::pipelines::{
-        svt_select_measure, svt_select_measure_scratch, topk_select_measure,
-        topk_select_measure_scratch, topk_select_measure_with_split,
-        topk_select_measure_with_split_scratch, PipelineScratch,
+        svt_select_measure, topk_select_measure, topk_select_measure_scratch,
+        topk_select_measure_staircase, PipelineScratch,
     };
     pub use free_gap_core::postprocess::{
         blue_estimates, blue_variance_ratio, combine_gap_with_measurement, gap_confidence_offset,

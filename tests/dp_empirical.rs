@@ -6,6 +6,9 @@
 //! claimed ε (plus sampling slack). Gaps are discretized onto a coarse grid
 //! so the output space is finite.
 
+mod common;
+
+use common::{adaptive, sv, top_k};
 use free_gap::alignment::empirical::empirical_epsilon;
 use free_gap::prelude::*;
 use free_gap_noise::rng::rng_from_seed;
@@ -24,12 +27,12 @@ fn noisy_max_with_gap_epsilon_hat() {
     // claim is ε-DP for the *joint* release. Mixed-direction deltas require
     // the general (non-monotone) mechanism configuration.
     let eps = 1.0;
-    let mech = NoisyMaxWithGap::new(eps, false).unwrap();
+    let mech = NoisyTopKWithGap::new(1, eps, false).unwrap();
     let run = |answers: &[f64], rng: &mut StdRng| {
-        let (idx, gap) = mech
-            .run(&QueryAnswers::general(answers.to_vec()), rng)
-            .unwrap();
-        (idx, (gap / 4.0).floor().min(6.0) as i64)
+        let item = top_k(mech, &QueryAnswers::general(answers.to_vec()), rng)
+            .unwrap()
+            .items[0];
+        (item.index, (item.gap / 4.0).floor().min(6.0) as i64)
     };
     let d = vec![3.0, 2.0, 0.0];
     let dp = vec![2.0, 3.0, 1.0]; // mixed directions, each |δ| <= 1
@@ -52,12 +55,12 @@ fn monotone_configuration_under_non_monotone_adjacency_is_flagged() {
     // would have paid. This is the audit catching a *workload-assumption*
     // violation, not a mechanism bug.
     let eps = 1.0;
-    let mech = NoisyMaxWithGap::new(eps, true).unwrap();
+    let mech = NoisyTopKWithGap::new(1, eps, true).unwrap();
     let run = |answers: &[f64], rng: &mut StdRng| {
-        let (idx, gap) = mech
-            .run(&QueryAnswers::counting(answers.to_vec()), rng)
-            .unwrap();
-        (idx, (gap / 4.0).floor().min(6.0) as i64)
+        let item = top_k(mech, &QueryAnswers::counting(answers.to_vec()), rng)
+            .unwrap()
+            .items[0];
+        (item.index, (item.gap / 4.0).floor().min(6.0) as i64)
     };
     let d = vec![3.0, 2.0, 0.0];
     let dp = vec![2.0, 3.0, 1.0]; // NOT monotone
@@ -83,9 +86,7 @@ fn monotone_noisy_max_consumes_half_budget() {
     let eps = 0.8;
     let mech = NoisyTopKWithGap::new(1, eps, true).unwrap();
     let run = |answers: &[f64], rng: &mut StdRng| {
-        let out = mech
-            .run(&QueryAnswers::counting(answers.to_vec()), rng)
-            .unwrap();
+        let out = top_k(mech, &QueryAnswers::counting(answers.to_vec()), rng).unwrap();
         (
             out.items[0].index,
             (out.items[0].gap / 5.0).floor().min(5.0) as i64,
@@ -108,7 +109,7 @@ fn adaptive_svt_epsilon_hat() {
     let threshold = 5.0;
     let mech = AdaptiveSparseVector::new(2, eps, threshold, true).unwrap();
     let run = |answers: &[f64], rng: &mut StdRng| {
-        let out = mech.run(&QueryAnswers::counting(answers.to_vec()), rng);
+        let out = adaptive(mech, &QueryAnswers::counting(answers.to_vec()), rng);
         // Discretize: per query, branch tag only (gap coarsened to sign).
         out.outcomes
             .iter()
@@ -140,7 +141,7 @@ fn classic_svt_epsilon_hat() {
     let eps = 0.9;
     let mech = ClassicSparseVector::new(1, eps, 4.0, true).unwrap();
     let run = |answers: &[f64], rng: &mut StdRng| {
-        let out = mech.run(&QueryAnswers::counting(answers.to_vec()), rng);
+        let out = sv(mech, &QueryAnswers::counting(answers.to_vec()), rng);
         out.above.iter().map(|o| o.is_some()).collect::<Vec<bool>>()
     };
     let d = vec![5.0, 3.0, 4.0];
@@ -163,7 +164,7 @@ fn sanity_the_audit_catches_overconfident_budgets() {
     let claimed = 0.5;
     let mech = NoisyTopKWithGap::new(1, true_eps, true).unwrap();
     let run = |answers: &[f64], rng: &mut StdRng| {
-        mech.run(&QueryAnswers::counting(answers.to_vec()), rng)
+        top_k(mech, &QueryAnswers::counting(answers.to_vec()), rng)
             .unwrap()
             .items[0]
             .index

@@ -1,6 +1,9 @@
 //! Integration tests: full dataset → mechanism → postprocessing workflows
 //! through the facade crate, spanning all member crates.
 
+mod common;
+
+use common::{adaptive, indices, multi_branch, sv, svt_pipeline, top_k, topk_pipeline};
 use free_gap::prelude::*;
 use free_gap_noise::rng::derive_stream;
 
@@ -21,7 +24,7 @@ fn dataset_to_topk_selection_finds_heavy_items() {
     let mut hits = 0usize;
     let runs = 200;
     for _ in 0..runs {
-        let got = mech.run(&answers, &mut rng);
+        let got = top_k(mech, &answers, &mut rng);
         let q = selection_quality(&got.unwrap().indices(), &truth);
         if q.recall > 0.79 {
             hits += 1;
@@ -41,7 +44,7 @@ fn full_select_measure_blue_workflow_improves_mse() {
     let mut sse_blue = 0.0;
     for run in 0..1_500u64 {
         let mut rng = derive_stream(77, run);
-        let r = topk_select_measure(&answers, k, 0.7, &mut rng).unwrap();
+        let r = topk_pipeline(&answers, k, 0.7, &mut rng).unwrap();
         for i in 0..k {
             sse_base += (r.measurements[i] - r.truths[i]).powi(2);
             sse_blue += (r.blue[i] - r.truths[i]).powi(2);
@@ -64,7 +67,7 @@ fn full_svt_workflow_matches_section_6_2() {
     let mut sse_comb = 0.0;
     for run in 0..1_500u64 {
         let mut rng = derive_stream(78, run);
-        let r = svt_select_measure(&answers, k, 0.7, threshold, &mut rng).unwrap();
+        let r = svt_pipeline(&answers, k, 0.7, threshold, &mut rng).unwrap();
         for i in 0..r.indices.len() {
             sse_base += (r.measurements[i] - r.truths[i]).powi(2);
             sse_comb += (r.combined[i] - r.truths[i]).powi(2);
@@ -84,13 +87,13 @@ fn adaptive_svt_beats_classic_on_real_workload() {
     let k = 10;
     let threshold = counts.sorted_desc()[5 * k] as f64;
     let classic = ClassicSparseVector::new(k, 0.7, threshold, true).unwrap();
-    let adaptive = AdaptiveSparseVector::new(k, 0.7, threshold, true).unwrap();
+    let adaptive_mech = AdaptiveSparseVector::new(k, 0.7, threshold, true).unwrap();
     let mut classic_total = 0usize;
     let mut adaptive_total = 0usize;
     for run in 0..300u64 {
         let mut rng = derive_stream(79, run);
-        classic_total += classic.run(&answers, &mut rng).answered();
-        adaptive_total += adaptive.run(&answers, &mut rng).answered();
+        classic_total += sv(classic, &answers, &mut rng).answered();
+        adaptive_total += adaptive(adaptive_mech, &answers, &mut rng).answered();
     }
     assert!(
         adaptive_total as f64 > 1.5 * classic_total as f64,
@@ -106,7 +109,7 @@ fn budget_accountant_tracks_pipeline_spend() {
     let shares = budget.split(&[0.5, 0.5]).unwrap();
     let selector = NoisyTopKWithGap::new(3, shares[0], true).unwrap();
     let mut rng = rng_from_seed(2);
-    let out = selector.run(&answers, &mut rng);
+    let out = top_k(selector, &answers, &mut rng);
     budget.spend(shares[0]).unwrap();
     let measurer = LaplaceMechanism::new(shares[1]).unwrap();
     let out = out.unwrap();
@@ -121,16 +124,16 @@ fn budget_accountant_tracks_pipeline_spend() {
 fn exponential_mechanism_agrees_with_noisy_max_on_easy_instances() {
     // Both selection baselines should find the dominant item w.h.p.
     let answers = QueryAnswers::counting(vec![500.0, 10.0, 20.0, 30.0]);
-    let expo = ExponentialMechanism::new(1.0, true).unwrap();
-    let nmax = ClassicNoisyMax::new(1.0, true).unwrap();
+    let expo = ExponentialTopK::new(ExponentialMechanism::new(1.0, true).unwrap(), 1).unwrap();
+    let nmax = ClassicNoisyTopK::new(1, 1.0, true).unwrap();
     let mut rng = rng_from_seed(3);
     let mut expo_hits = 0;
     let mut nmax_hits = 0;
     for _ in 0..500 {
-        if expo.run(&answers, &mut rng).unwrap() == 0 {
+        if indices(expo, &answers, &mut rng).unwrap() == [0] {
             expo_hits += 1;
         }
-        if nmax.run(&answers, &mut rng).unwrap() == 0 {
+        if indices(nmax, &answers, &mut rng).unwrap() == [0] {
             nmax_hits += 1;
         }
     }
@@ -151,7 +154,7 @@ fn multi_branch_ladder_dominates_algorithm2_on_real_workload() {
         let mut rng = derive_stream(501, run);
         for (i, m) in [1usize, 2, 3].into_iter().enumerate() {
             let mech = MultiBranchAdaptiveSparseVector::new(k, 0.7, threshold, true, m).unwrap();
-            totals[i] += mech.run(&answers, &mut rng).answered();
+            totals[i] += multi_branch(mech, &answers, &mut rng).answered();
         }
     }
     assert!(
@@ -182,9 +185,9 @@ fn discrete_topk_tracks_continuous_on_integer_counts() {
     let runs = 300;
     for _ in 0..runs {
         d_recall +=
-            selection_quality(&disc.run(&answers, &mut rng).unwrap().indices(), &truth).recall;
+            selection_quality(&top_k(disc, &answers, &mut rng).unwrap().indices(), &truth).recall;
         c_recall +=
-            selection_quality(&cont.run(&answers, &mut rng).unwrap().indices(), &truth).recall;
+            selection_quality(&top_k(cont, &answers, &mut rng).unwrap().indices(), &truth).recall;
     }
     assert!(
         (d_recall - c_recall).abs() / (runs as f64) < 0.05,

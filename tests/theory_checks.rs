@@ -3,6 +3,9 @@
 //! Each test exercises a theorem/corollary through the *public facade API*
 //! (not internal shortcuts), at the same operating points the paper quotes.
 
+mod common;
+
+use common::{adaptive, sv, top_k};
 use free_gap::prelude::*;
 use free_gap_noise::rng::derive_stream;
 use free_gap_noise::stats::RunningMoments;
@@ -18,7 +21,7 @@ fn theorem2_gap_variance_matches_16k2_over_eps2() {
     let mut gaps = RunningMoments::new();
     for run in 0..40_000u64 {
         let mut rng = derive_stream(1, run);
-        let out = mech.run(&answers, &mut rng).unwrap();
+        let out = top_k(mech, &answers, &mut rng).unwrap();
         if out.indices() == vec![0, 1, 2] {
             // gap between ranks 1 and 2 — two noise terms only
             gaps.push(out.items[0].gap);
@@ -91,7 +94,7 @@ fn adaptive_svt_answers_up_to_twice_k_far_from_threshold() {
     let answers = QueryAnswers::counting(vec![1e9; 64]);
     let mech = AdaptiveSparseVector::new(k, 0.7, 0.0, true).unwrap();
     let mut rng = rng_from_seed(12);
-    let out = mech.run(&answers, &mut rng);
+    let out = adaptive(mech, &answers, &mut rng);
     assert!(
         out.answered() >= 2 * k - 2,
         "answered {} with k = {k}",
@@ -109,7 +112,7 @@ fn gap_plus_threshold_is_consistent_estimator() {
         let mut moments = RunningMoments::new();
         for run in 0..5_000u64 {
             let mut rng = derive_stream(13, run);
-            if let Some((_, g)) = m.run(&answers, &mut rng).gaps().first() {
+            if let Some((_, g)) = sv(m, &answers, &mut rng).gaps().first() {
                 moments.push(g + 500.0 - truth);
             }
         }
