@@ -166,6 +166,11 @@ mod tests {
     use crate::mechanism::AlignedMechanism;
     use crate::source::NoiseSource;
     use free_gap_noise::rng::rng_from_seed;
+    use free_gap_noise::{Laplace, Noise};
+
+    fn lap(scale: f64) -> Noise {
+        Noise::Laplace(Laplace::new(scale).unwrap())
+    }
 
     /// Example 1 of the paper: the Laplace mechanism on a sum query, aligned
     /// by η'₁ = η₁ + q(D) - q(D').
@@ -181,7 +186,7 @@ mod tests {
         type Output = f64;
 
         fn run(&self, input: &f64, source: &mut dyn NoiseSource) -> f64 {
-            input + source.laplace(self.sensitivity / self.epsilon)
+            input + source.draw(&lap(self.sensitivity / self.epsilon))
         }
 
         fn align(&self, input: &f64, neighbor: &f64, tape: &NoiseTape, _: &f64) -> NoiseTape {
@@ -238,7 +243,7 @@ mod tests {
 
         fn run(&self, input: &usize, source: &mut dyn NoiseSource) -> usize {
             for _ in 0..*input {
-                source.laplace(1.0);
+                source.draw(&lap(1.0));
             }
             *input
         }
@@ -271,7 +276,7 @@ mod tests {
             type Input = usize;
             type Output = usize;
             fn run(&self, input: &usize, source: &mut dyn NoiseSource) -> usize {
-                source.laplace(1.0);
+                source.draw(&lap(1.0));
                 *input
             }
             fn align(&self, _: &usize, _: &usize, tape: &NoiseTape, _: &usize) -> NoiseTape {

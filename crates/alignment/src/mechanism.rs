@@ -59,6 +59,7 @@ mod tests {
     use super::*;
     use crate::checker::check_alignment;
     use free_gap_noise::rng::rng_from_seed;
+    use free_gap_noise::{Laplace, Noise};
 
     /// The paper's Example 2: output ⊤ iff `q(D) + η₁ >= threshold`, with
     /// alignment η'₁ = η₁ ± sensitivity depending on the branch.
@@ -74,7 +75,7 @@ mod tests {
 
         fn run(&self, input: &f64, source: &mut dyn NoiseSource) -> bool {
             let scale = self.sensitivity / self.epsilon;
-            input + source.laplace(scale) >= self.threshold
+            input + source.draw(&Noise::Laplace(Laplace::new(scale).unwrap())) >= self.threshold
         }
 
         fn align(

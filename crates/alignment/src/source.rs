@@ -1,57 +1,56 @@
 //! Noise sources: the sampling interface mechanisms draw through.
 //!
-//! Mechanisms take `&mut dyn NoiseSource` instead of an RNG directly. In
-//! production they are driven by a [`RecordingSource`] (fresh Laplace
+//! Mechanisms take `&mut dyn NoiseSource` instead of an RNG directly and
+//! request every draw as one [`Noise`] spec — the family is a parameter of
+//! the draw. In production they are driven by a [`RecordingSource`] (fresh
 //! samples; the recording costs one `Vec` push per draw). In alignment
 //! checks the *same mechanism code* is re-run against a [`ReplaySource`]
 //! loaded with the aligned tape `H' = φ(H)`, which also verifies that the
-//! second execution requests draws with exactly the same scales in exactly
-//! the same order — any divergence means the alignment changed the draw
+//! second execution requests draws with exactly the same families and
+//! scales in exactly the same order — any divergence means the alignment changed the draw
 //! structure and the Definition-6 cost accounting would be meaningless.
 
 use crate::tape::{DrawKind, NoiseTape};
-use free_gap_noise::{
-    ContinuousDistribution, DiscreteDistribution, DiscreteLaplace, Exponential, Gumbel, Laplace,
-    Staircase,
-};
+use free_gap_noise::{DiscreteDistribution, Noise};
 use rand::rngs::StdRng;
 
 /// The sampling interface used by alignable mechanisms.
 pub trait NoiseSource {
-    /// Draws one zero-mean Laplace(`scale`) variate.
+    /// Draws one variate from `noise` (any family; see [`Noise`]).
     ///
     /// # Panics
-    /// Replay sources panic when the requested scale differs from the
-    /// recorded one (see module docs).
-    fn laplace(&mut self, scale: f64) -> f64;
-
-    /// Draws one zero-mean discrete Laplace variate over `{kγ}` with
-    /// per-unit privacy rate `unit_epsilon` (pmf ∝ `e^{-unit_epsilon·|kγ|}`).
-    ///
-    /// The recorded Definition-6 scale is `1/unit_epsilon`, so a shift of
-    /// `Δ` costs `unit_epsilon·|Δ|` — the discrete analogue of the Laplace
-    /// accounting.
-    fn discrete_laplace(&mut self, unit_epsilon: f64, gamma: f64) -> f64;
-
-    /// Draws one standard-shape Gumbel(`scale`) variate (location 0) — the
-    /// exponential-mechanism race noise. Recorded with
-    /// [`DrawKind::Gumbel`]; no Definition-6 cost accounting applies (see
-    /// the kind's docs), replay verifies family and scale fidelity only.
-    fn gumbel(&mut self, scale: f64) -> f64;
-
-    /// Draws one one-sided Exponential(`scale`) variate. Same accounting
-    /// caveat as [`gumbel`](NoiseSource::gumbel).
-    fn exponential(&mut self, scale: f64) -> f64;
-
-    /// Draws one staircase variate at privacy parameter `epsilon`,
-    /// sensitivity `sensitivity` and stair split `gamma` — the
-    /// measurement-baseline noise. The distribution is constructed per draw
-    /// (the draw-exact reference cost the scratch paths hoist); recorded
-    /// scale is `sensitivity / epsilon`.
-    fn staircase(&mut self, epsilon: f64, sensitivity: f64, gamma: f64) -> f64;
+    /// Replay sources panic when the requested family or scale differs
+    /// from the recorded draw (see module docs).
+    fn draw(&mut self, noise: &Noise) -> f64;
 
     /// Number of draws served so far.
     fn draws_taken(&self) -> usize;
+}
+
+/// The recorded Definition-6 scale `αᵢ` and family of a draw from `noise`.
+///
+/// Laplace, Gumbel and Exponential record their scale; discrete Laplace
+/// records `1/ε` (so a shift of `Δ` costs `ε·|Δ|`, the discrete analogue of
+/// the Laplace accounting); the staircase records `Δ/ε`. Gumbel,
+/// Exponential and staircase draws carry no Definition-6 accounting (see
+/// [`DrawKind`]) — replay verifies their family and scale only.
+fn draw_record(noise: &Noise) -> (f64, DrawKind) {
+    match noise {
+        Noise::Laplace(d) => (d.scale(), DrawKind::Laplace),
+        Noise::DiscreteLaplace(d) => (
+            1.0 / d.epsilon(),
+            DrawKind::DiscreteLaplace { gamma: d.base() },
+        ),
+        Noise::Gumbel(d) => (d.scale(), DrawKind::Gumbel),
+        Noise::Exp(d) => (d.scale(), DrawKind::Exponential),
+        Noise::Staircase(d) => (
+            d.sensitivity() / d.epsilon(),
+            DrawKind::Staircase {
+                sensitivity: d.sensitivity(),
+                gamma: d.gamma(),
+            },
+        ),
+    }
 }
 
 /// Samples fresh noise from an RNG and records every draw.
@@ -81,45 +80,10 @@ impl<'a> RecordingSource<'a> {
 }
 
 impl NoiseSource for RecordingSource<'_> {
-    fn laplace(&mut self, scale: f64) -> f64 {
-        let dist = Laplace::new(scale).expect("mechanism requested invalid scale");
-        let v = dist.sample(self.rng);
-        self.tape.push(v, scale);
-        v
-    }
-
-    fn discrete_laplace(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        let dist =
-            DiscreteLaplace::new(unit_epsilon, gamma).expect("mechanism requested invalid rate");
-        let v = dist.sample_value(self.rng);
-        self.tape
-            .push_kind(v, 1.0 / unit_epsilon, DrawKind::DiscreteLaplace { gamma });
-        v
-    }
-
-    fn gumbel(&mut self, scale: f64) -> f64 {
-        let dist = Gumbel::new(scale).expect("mechanism requested invalid scale");
-        let v = dist.sample(self.rng);
-        self.tape.push_kind(v, scale, DrawKind::Gumbel);
-        v
-    }
-
-    fn exponential(&mut self, scale: f64) -> f64 {
-        let dist = Exponential::new(scale).expect("mechanism requested invalid scale");
-        let v = dist.sample(self.rng);
-        self.tape.push_kind(v, scale, DrawKind::Exponential);
-        v
-    }
-
-    fn staircase(&mut self, epsilon: f64, sensitivity: f64, gamma: f64) -> f64 {
-        let dist =
-            Staircase::new(epsilon, sensitivity, gamma).expect("mechanism requested invalid shape");
-        let v = dist.sample(self.rng);
-        self.tape.push_kind(
-            v,
-            sensitivity / epsilon,
-            DrawKind::Staircase { sensitivity, gamma },
-        );
+    fn draw(&mut self, noise: &Noise) -> f64 {
+        let v = noise.sample(self.rng);
+        let (scale, kind) = draw_record(noise);
+        self.tape.push_kind(v, scale, kind);
         v
     }
 
@@ -143,36 +107,9 @@ impl<'a> SamplingSource<'a> {
 }
 
 impl NoiseSource for SamplingSource<'_> {
-    fn laplace(&mut self, scale: f64) -> f64 {
-        let dist = Laplace::new(scale).expect("mechanism requested invalid scale");
+    fn draw(&mut self, noise: &Noise) -> f64 {
         self.count += 1;
-        dist.sample(self.rng)
-    }
-
-    fn discrete_laplace(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        let dist =
-            DiscreteLaplace::new(unit_epsilon, gamma).expect("mechanism requested invalid rate");
-        self.count += 1;
-        dist.sample_value(self.rng)
-    }
-
-    fn gumbel(&mut self, scale: f64) -> f64 {
-        let dist = Gumbel::new(scale).expect("mechanism requested invalid scale");
-        self.count += 1;
-        dist.sample(self.rng)
-    }
-
-    fn exponential(&mut self, scale: f64) -> f64 {
-        let dist = Exponential::new(scale).expect("mechanism requested invalid scale");
-        self.count += 1;
-        dist.sample(self.rng)
-    }
-
-    fn staircase(&mut self, epsilon: f64, sensitivity: f64, gamma: f64) -> f64 {
-        let dist =
-            Staircase::new(epsilon, sensitivity, gamma).expect("mechanism requested invalid shape");
-        self.count += 1;
-        dist.sample(self.rng)
+        noise.sample(self.rng)
     }
 
     fn draws_taken(&self) -> usize {
@@ -248,27 +185,9 @@ impl NoiseSource for ReplaySource {
     /// overrun and returns 0.0 — the run's output is already known to
     /// diverge at that point, so the value is immaterial; the checker turns
     /// a non-zero [`overrun`](ReplaySource::overrun) into an error.
-    fn laplace(&mut self, scale: f64) -> f64 {
-        self.next_draw(scale, DrawKind::Laplace)
-    }
-
-    fn discrete_laplace(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        self.next_draw(1.0 / unit_epsilon, DrawKind::DiscreteLaplace { gamma })
-    }
-
-    fn gumbel(&mut self, scale: f64) -> f64 {
-        self.next_draw(scale, DrawKind::Gumbel)
-    }
-
-    fn exponential(&mut self, scale: f64) -> f64 {
-        self.next_draw(scale, DrawKind::Exponential)
-    }
-
-    fn staircase(&mut self, epsilon: f64, sensitivity: f64, gamma: f64) -> f64 {
-        self.next_draw(
-            sensitivity / epsilon,
-            DrawKind::Staircase { sensitivity, gamma },
-        )
+    fn draw(&mut self, noise: &Noise) -> f64 {
+        let (scale, kind) = draw_record(noise);
+        self.next_draw(scale, kind)
     }
 
     fn draws_taken(&self) -> usize {
@@ -280,13 +199,18 @@ impl NoiseSource for ReplaySource {
 mod tests {
     use super::*;
     use free_gap_noise::rng::rng_from_seed;
+    use free_gap_noise::{ContinuousDistribution, Exponential, Gumbel, Laplace, Staircase};
+
+    fn lap(scale: f64) -> Noise {
+        Noise::Laplace(Laplace::new(scale).unwrap())
+    }
 
     #[test]
     fn recording_source_records_all_draws() {
         let mut rng = rng_from_seed(1);
         let mut src = RecordingSource::new(&mut rng);
-        let a = src.laplace(1.0);
-        let b = src.laplace(2.0);
+        let a = src.draw(&lap(1.0));
+        let b = src.draw(&lap(2.0));
         assert_eq!(src.draws_taken(), 2);
         let tape = src.into_tape();
         assert_eq!(tape.len(), 2);
@@ -302,7 +226,7 @@ mod tests {
         let mut rng1 = rng_from_seed(9);
         let mut rng2 = rng_from_seed(9);
         let mut src = RecordingSource::new(&mut rng1);
-        let v = src.laplace(3.0);
+        let v = src.draw(&lap(3.0));
         let direct = Laplace::new(3.0).unwrap().sample(&mut rng2);
         assert_eq!(v, direct);
     }
@@ -314,7 +238,7 @@ mod tests {
         let mut fast = SamplingSource::new(&mut rng1);
         let mut rec = RecordingSource::new(&mut rng2);
         for scale in [1.0, 2.0, 0.5] {
-            assert_eq!(fast.laplace(scale), rec.laplace(scale));
+            assert_eq!(fast.draw(&lap(scale)), rec.draw(&lap(scale)));
         }
         assert_eq!(fast.draws_taken(), 3);
     }
@@ -327,9 +251,9 @@ mod tests {
         let mut rng1 = rng_from_seed(17);
         let mut rng2 = rng_from_seed(17);
         let mut rec = RecordingSource::new(&mut rng1);
-        let g = rec.gumbel(2.0);
-        let e = rec.exponential(0.5);
-        let s = rec.staircase(1.0, 1.0, 0.25);
+        let g = rec.draw(&Noise::Gumbel(Gumbel::new(2.0).unwrap()));
+        let e = rec.draw(&Noise::Exp(Exponential::new(0.5).unwrap()));
+        let s = rec.draw(&Noise::Staircase(Staircase::new(1.0, 1.0, 0.25).unwrap()));
         assert_eq!(g, Gumbel::new(2.0).unwrap().sample(&mut rng2));
         assert_eq!(e, Exponential::new(0.5).unwrap().sample(&mut rng2));
         assert_eq!(s, Staircase::new(1.0, 1.0, 0.25).unwrap().sample(&mut rng2));
@@ -344,10 +268,27 @@ mod tests {
             }
         );
         let mut replay = ReplaySource::new(tape);
-        assert_eq!(replay.gumbel(2.0), g);
-        assert_eq!(replay.exponential(0.5), e);
-        assert_eq!(replay.staircase(1.0, 1.0, 0.25), s);
+        assert_eq!(replay.draw(&Noise::Gumbel(Gumbel::new(2.0).unwrap())), g);
+        assert_eq!(replay.draw(&Noise::Exp(Exponential::new(0.5).unwrap())), e);
+        assert_eq!(
+            replay.draw(&Noise::Staircase(Staircase::new(1.0, 1.0, 0.25).unwrap())),
+            s
+        );
         assert!(replay.fully_consumed());
+    }
+
+    #[test]
+    fn discrete_draws_record_the_reciprocal_rate() {
+        use free_gap_noise::DiscreteLaplace;
+        let noise = Noise::DiscreteLaplace(DiscreteLaplace::new(0.4, 0.5).unwrap());
+        let mut rng = rng_from_seed(3);
+        let mut rec = RecordingSource::new(&mut rng);
+        let v = rec.draw(&noise);
+        let d = rec.tape().draw(0);
+        assert_eq!(d.scale, 1.0 / 0.4);
+        assert_eq!(d.kind, DrawKind::DiscreteLaplace { gamma: 0.5 });
+        let mut replay = ReplaySource::new(rec.into_tape());
+        assert_eq!(replay.draw(&noise), v);
     }
 
     #[test]
@@ -356,7 +297,7 @@ mod tests {
         let mut tape = NoiseTape::new();
         tape.push_kind(0.0, 1.0, DrawKind::Gumbel);
         let mut src = ReplaySource::new(tape);
-        src.exponential(1.0);
+        src.draw(&Noise::Exp(Exponential::new(1.0).unwrap()));
     }
 
     #[test]
@@ -366,8 +307,8 @@ mod tests {
         tape.push(-1.5, 2.0);
         let mut src = ReplaySource::new(tape);
         assert_eq!(src.remaining(), 2);
-        assert_eq!(src.laplace(1.0), 0.25);
-        assert_eq!(src.laplace(2.0), -1.5);
+        assert_eq!(src.draw(&lap(1.0)), 0.25);
+        assert_eq!(src.draw(&lap(2.0)), -1.5);
         assert!(src.fully_consumed());
     }
 
@@ -375,8 +316,8 @@ mod tests {
     fn replay_records_overrun_past_tape_end() {
         let mut src = ReplaySource::new(NoiseTape::new());
         assert_eq!(src.overrun(), 0);
-        assert_eq!(src.laplace(1.0), 0.0);
-        assert_eq!(src.laplace(1.0), 0.0);
+        assert_eq!(src.draw(&lap(1.0)), 0.0);
+        assert_eq!(src.draw(&lap(1.0)), 0.0);
         assert_eq!(src.overrun(), 2);
         assert_eq!(src.draws_taken(), 0);
     }
@@ -387,6 +328,6 @@ mod tests {
         let mut tape = NoiseTape::new();
         tape.push(0.0, 1.0);
         let mut src = ReplaySource::new(tape);
-        src.laplace(2.0);
+        src.draw(&lap(2.0));
     }
 }

@@ -544,12 +544,14 @@ pub fn run_grid(config: &BenchConfig) -> Vec<BenchRecord> {
             let adaptive =
                 AdaptiveSparseVector::new(k, 0.7, threshold, true).expect("valid parameters");
             bench_streaming_cell(&mut records, config, "AdaptiveSparseVector", n, k, |r| {
-                adaptive.run_streaming_with_scratch_into(
-                    answers.values().iter().copied(),
-                    &mut derive_stream(seed, r),
-                    &mut adaptive_stream_scratch,
-                    &mut adaptive_stream_out,
-                );
+                adaptive
+                    .run_streaming_with_scratch_into(
+                        answers.values().iter().copied(),
+                        &mut derive_stream(seed, r),
+                        &mut adaptive_stream_scratch,
+                        &mut adaptive_stream_out,
+                    )
+                    .expect("validated workload");
                 black_box(&adaptive_stream_out);
             });
 
@@ -562,12 +564,14 @@ pub fn run_grid(config: &BenchConfig) -> Vec<BenchRecord> {
                 n,
                 k,
                 |r| {
-                    multi.run_streaming_with_scratch_into(
-                        answers.values().iter().copied(),
-                        &mut derive_stream(seed, r),
-                        &mut multi_branch_stream_scratch,
-                        &mut multi_stream_out,
-                    );
+                    multi
+                        .run_streaming_with_scratch_into(
+                            answers.values().iter().copied(),
+                            &mut derive_stream(seed, r),
+                            &mut multi_branch_stream_scratch,
+                            &mut multi_stream_out,
+                        )
+                        .expect("validated workload");
                     black_box(&multi_stream_out);
                 },
             );
@@ -591,13 +595,15 @@ pub fn run_grid(config: &BenchConfig) -> Vec<BenchRecord> {
             let mut stair_stream_out: Vec<f64> = Vec::new();
             let stair = StaircaseMechanism::new(0.7).expect("valid parameters");
             bench_streaming_cell(&mut records, config, "StaircaseMechanism", n, k, |r| {
-                stair.measure_split_streaming_with_scratch_into(
-                    answers.values().iter().copied(),
-                    n,
-                    &mut derive_stream(seed, r),
-                    &mut stair_stream_scratch,
-                    &mut stair_stream_out,
-                );
+                stair
+                    .measure_split_streaming_with_scratch_into(
+                        answers.values().iter().copied(),
+                        n,
+                        &mut derive_stream(seed, r),
+                        &mut stair_stream_scratch,
+                        &mut stair_stream_out,
+                    )
+                    .expect("validated workload");
                 black_box(&stair_stream_out);
             });
 
@@ -610,12 +616,14 @@ pub fn run_grid(config: &BenchConfig) -> Vec<BenchRecord> {
                 n,
                 k,
                 |r| {
-                    disc_svt.run_streaming_with_scratch_into(
-                        int_answers.values().iter().copied(),
-                        &mut derive_stream(seed, r),
-                        &mut disc_svt_stream_scratch,
-                        &mut sv_stream_out,
-                    );
+                    disc_svt
+                        .run_streaming_with_scratch_into(
+                            int_answers.values().iter().copied(),
+                            &mut derive_stream(seed, r),
+                            &mut disc_svt_stream_scratch,
+                            &mut sv_stream_out,
+                        )
+                        .expect("validated workload");
                     black_box(&sv_stream_out);
                 },
             );

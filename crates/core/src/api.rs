@@ -437,8 +437,7 @@ impl Mechanism for StaircaseMechanism {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.measure_core(req.values(), provider, out.measurements_mut());
-        Ok(())
+        self.measure_core(req.values(), provider, out.measurements_mut())
     }
 }
 
@@ -505,8 +504,7 @@ impl Mechanism for AdaptiveSparseVector {
         _scratch: &mut TopKScratch,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        self.run_core(req.values().iter().copied(), provider, out.adaptive_mut());
-        Ok(())
+        self.run_core(req.values().iter().copied(), provider, out.adaptive_mut())
     }
 }
 
@@ -530,8 +528,7 @@ impl Mechanism for MultiBranchAdaptiveSparseVector {
             req.values().iter().copied(),
             provider,
             out.multi_branch_mut(),
-        );
-        Ok(())
+        )
     }
 }
 
@@ -555,8 +552,7 @@ impl Mechanism for DiscreteSparseVectorWithGap {
             req.values().iter().copied(),
             provider,
             out.sparse_vector_mut(),
-        );
-        Ok(())
+        )
     }
 }
 

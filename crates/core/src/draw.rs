@@ -9,69 +9,57 @@
 //! ```text
 //!                mechanism core (one function, generic over P: DrawProvider)
 //!                                      │
-//!          ┌───────────────────────────┼───────────────────────────┐
-//!          ▼                           ▼                           ▼
-//!   SourceDraws                  ScratchDraws                  RngDraws
-//!   (dyn NoiseSource:            (SvtScratch/BlockBuffer:      (plain Rng:
-//!    alignment checker,           batched + blocked noise,      draw-exact
-//!    reference path)              Monte-Carlo fast path)        monomorphic)
+//!        ┌──────────────────┬──────────┴─────────┬──────────────────────┐
+//!        ▼                  ▼                    ▼                      ▼
+//!   SourceDraws        ScratchDraws          RngDraws             ParallelDraws
+//!   (dyn NoiseSource:  (SvtScratch tape:     (plain Rng:          (per-block
+//!    alignment checker, blocked raw-uniform   draw-exact           sub-streams,
+//!    reference path)    lookahead)            monomorphic)         scoped threads)
 //! ```
 //!
 //! ## Contract
 //!
-//! The trait exposes the draw shapes the paper's mechanisms need — single
-//! draws ([`next`](DrawProvider::next)), Algorithm 2's `(ξ, η)` pairs
-//! ([`peek_pairs`](DrawProvider::peek_pairs)), the multi-branch ladder's
-//! `m`-tuples ([`peek_tuples`](DrawProvider::peek_tuples)), the Noisy-Max
-//! batch ([`fill_offset`](DrawProvider::fill_offset)), the discrete
-//! (finite-precision) twins of each
-//! ([`discrete_next`](DrawProvider::discrete_next),
-//! [`discrete_peek_pairs`](DrawProvider::discrete_peek_pairs),
-//! [`discrete_peek_tuples`](DrawProvider::discrete_peek_tuples),
-//! [`discrete_fill_offset`](DrawProvider::discrete_fill_offset)), and the
-//! baseline-mechanism shapes
-//! ([`gumbel_next`](DrawProvider::gumbel_next) for the
-//! exponential-mechanism race, [`exp_next`](DrawProvider::exp_next),
-//! [`staircase_next`](DrawProvider::staircase_next) /
-//! [`staircase_fill_offset`](DrawProvider::staircase_fill_offset) for the
-//! variance-optimal measurement) — under
-//! one invariant, the **stream discipline** of `README.md`: however a
-//! provider buffers internally, the sequence of draws it *serves* is
-//! bit-identical to a sequential sampling loop at the requested scales on
-//! the same underlying stream. A provider may pull more randomness than it
-//! serves (block lookahead, [`ScratchDraws`]) or be draw-exact
-//! ([`SourceDraws`], [`RngDraws`]); cores therefore only call
-//! `peek_pairs`/`peek_tuples` **after** the matching query is known to
-//! exist, so draw-exact providers never sample noise for a query that was
-//! never pulled — which is what keeps the recorded alignment tapes
-//! draw-for-draw identical to the pre-provider implementations.
+//! Every draw names its distribution as one [`Noise`] spec — Laplace,
+//! discrete Laplace, Gumbel, Exponential or staircase, already constructed
+//! and validated by the mechanism, so no provider re-checks a parameter.
+//! The trait has four draw shapes, each taking that spec: one draw
+//! ([`next`](DrawProvider::next)), a slab of whole tuples with per-slot
+//! specs ([`peek`](DrawProvider::peek) + [`consume`](DrawProvider::consume):
+//! Algorithm 2's `(ξ, η)` pairs, the multi-branch ladder's `m`-tuples, the
+//! discrete SVT's query draws), and an offset batch
+//! ([`fill`](DrawProvider::fill): the Noisy-Max and measurement shape). One
+//! invariant covers them all, the **stream discipline** of `README.md`:
+//! however a provider buffers internally, the sequence of draws it *serves*
+//! is bit-identical to a sequential sampling loop over the requested specs
+//! on the same underlying stream. A provider may pull more randomness than
+//! it serves (block lookahead, [`ScratchDraws`]) or be draw-exact
+//! ([`SourceDraws`], [`RngDraws`]); cores therefore only call `peek`
+//! **after** the matching query is known to exist, so draw-exact providers
+//! never sample noise for a query that was never pulled — which is what
+//! keeps the recorded alignment tapes draw-for-draw identical to a
+//! hand-written per-draw loop.
 //!
 //! The `scratch_equivalence` suite enforces output equality across all
 //! providers; `tests/draw_provider.rs` proptests the stream discipline
-//! itself over random interleavings of the three draw shapes.
+//! itself over random interleavings of every family and shape.
 //!
-//! ## The parallel pair
+//! ## The per-block layout
 //!
-//! [`BlockSeqDraws`] and [`ParallelDraws`] add a fourth execution path over
-//! the per-block sub-stream layout of [`free_gap_noise::par`]: a bulk fill
-//! consumes consecutive fixed-size blocks of the run, block `b` drawn from
-//! `derive_fast_stream(run_seed, b)`, while scalar draws ride a tape on the
-//! reserved stream [`par::SCALAR_STREAM`]. Because every block's noise is a
-//! pure function of `(run_seed, block index)`, [`ParallelDraws`] (which
-//! fills disjoint slabs from scoped threads, and reduces Top-K selection
-//! per chunk) is **bit-identical for every thread count** to
-//! [`BlockSeqDraws`] (which replays the same per-block streams in order).
-//! The pair serves a *different stream* from the three single-RNG providers
-//! above — it is a new benchmark/serving path (`par`), not a replacement.
+//! [`ParallelDraws`] serves a *different stream* from the three single-RNG
+//! providers: the per-block sub-stream layout of [`free_gap_noise::par`]. A
+//! bulk fill consumes consecutive fixed-size blocks of the run, block `b`
+//! drawn from `derive_fast_stream(run_seed, b)`, while scalar draws ride a
+//! tape on the reserved stream [`par::SCALAR_STREAM`]. Because every
+//! block's noise is a pure function of `(run_seed, block index)`, the
+//! provider is **bit-identical for every thread count**: `threads = 1` runs
+//! the sequential block engines, which are the reference the parallel fill
+//! and the per-chunk Top-K reduce are tested against.
 
 use crate::scratch::SvtScratch;
 use free_gap_alignment::NoiseSource;
 use free_gap_noise::par;
 use free_gap_noise::rng::{derive_fast_stream, FastRng};
-use free_gap_noise::{
-    ContinuousDistribution, DiscreteDistribution, DiscreteLaplace, Exponential, Gumbel, Laplace,
-    Staircase,
-};
+use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
 /// Largest tuple arity a provider must support — one draw per branch of the
@@ -79,131 +67,66 @@ use rand::Rng;
 /// ([`MultiBranchAdaptiveSparseVector::MAX_BRANCHES`](crate::sparse_vector::MultiBranchAdaptiveSparseVector::MAX_BRANCHES)).
 pub const MAX_TUPLE: usize = 16;
 
-/// A source of Laplace (and discrete-Laplace) draws for a mechanism core.
+/// A source of noise draws for a mechanism core.
 ///
 /// See the [module docs](self) for the contract. All `f64` values returned
-/// are finished draws at the requested scale — cores never rescale.
+/// are finished draws from the requested spec — cores never rescale.
 pub trait DrawProvider {
     /// Starts a run: discards internal lookahead buffered from a previous
     /// stream and refreshes consumption predictions. Cores call this before
     /// their first draw.
-    fn begin(&mut self);
+    fn begin(&mut self) {}
 
     /// Predicted total draw consumption of the run (0 when unknown) — cores
     /// use it to pre-size output buffers, never for control flow.
-    fn predicted_draws(&self) -> usize;
-
-    /// One `Lap(scale)` draw.
-    fn next(&mut self, scale: f64) -> f64;
-
-    /// One discrete Laplace draw over the lattice `{kγ}` with per-unit rate
-    /// `unit_epsilon` (pmf ∝ `e^{-unit_epsilon·|kγ|}`).
-    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64;
-
-    /// Discrete twin of [`peek_tuples`](DrawProvider::peek_tuples): borrows
-    /// a slab of whole `unit_epsilons.len()`-tuples of discrete Laplace
-    /// draws over `{kγ}`, slot `b` at rate `unit_epsilons[b]`. The slab
-    /// length is a non-zero multiple of the arity; blocked providers may
-    /// return many tuples per call, draw-exact providers exactly one. Call
-    /// only when the query consuming the first tuple is known to exist, and
-    /// commit consumption with
-    /// [`discrete_consume`](DrawProvider::discrete_consume) (in served
-    /// values) before the next draw of any shape.
-    ///
-    /// # Panics
-    /// Implementations may panic when `unit_epsilons.len()` exceeds
-    /// [`MAX_TUPLE`].
-    fn discrete_peek_tuples(&mut self, unit_epsilons: &[f64], gamma: f64) -> &[f64];
-
-    /// Pair specialization of
-    /// [`discrete_peek_tuples`](DrawProvider::discrete_peek_tuples) — the
-    /// discrete analogue of Algorithm 2's `(ξ, η)` draw shape.
-    fn discrete_peek_pairs(&mut self, unit_epsilons: [f64; 2], gamma: f64) -> &[f64] {
-        self.discrete_peek_tuples(&unit_epsilons, gamma)
+    fn predicted_draws(&self) -> usize {
+        0
     }
 
-    /// Advances past `draws` values served by the last
-    /// [`discrete_peek_tuples`](DrawProvider::discrete_peek_tuples) slab (a
-    /// multiple of the arity; may be less than the slab length when the run
-    /// halts mid-slab).
-    fn discrete_consume(&mut self, draws: usize);
+    /// One draw from `noise`.
+    fn next(&mut self, noise: Noise) -> f64;
 
-    /// Discrete twin of [`fill_offset`](DrawProvider::fill_offset): fills
-    /// `out` with `base[i] +` a discrete Laplace draw at rate
-    /// `unit_epsilon` over `{kγ}`, one draw per element in index order —
-    /// the finite-precision Noisy-Max shape. Serves exactly `base.len()`
-    /// draws; blocked providers drain their buffered lookahead first, so
-    /// the served sequence always matches the sequential reference.
-    fn discrete_fill_offset(
-        &mut self,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        out: &mut Vec<f64>,
-    );
-
-    /// Borrows a slab of whole `scales.len()`-tuples, slot `b` of each tuple
-    /// distributed `Lap(scales[b])`. The slab length is a non-zero multiple
-    /// of the arity; blocked providers may return many tuples per call,
-    /// draw-exact providers exactly one. Call only when the query consuming
-    /// the first tuple is known to exist, and commit consumption with
-    /// [`consume`](DrawProvider::consume) before the next `peek`/`next`.
+    /// Borrows a slab of whole `noises.len()`-tuples, slot `b` of each tuple
+    /// drawn from `noises[b]`. The slab length is a non-zero multiple of the
+    /// arity; blocked providers may return many tuples per call, draw-exact
+    /// providers exactly one. Call only when the query consuming the first
+    /// tuple is known to exist, and commit consumption with
+    /// [`consume`](DrawProvider::consume) before the next draw of any shape.
     ///
     /// # Panics
-    /// Implementations may panic when `scales.len()` exceeds [`MAX_TUPLE`].
-    fn peek_tuples(&mut self, scales: &[f64]) -> &[f64];
-
-    /// Pair specialization of [`peek_tuples`](DrawProvider::peek_tuples) —
-    /// Algorithm 2's `(ξ, η)` draw shape.
-    fn peek_pairs(&mut self, scales: [f64; 2]) -> &[f64] {
-        self.peek_tuples(&scales)
-    }
+    /// Panics when `noises` is empty, longer than [`MAX_TUPLE`], or holds a
+    /// staircase spec: a tuple slot must take one uniform, so consumption
+    /// counts served values (the staircase's four-uniform draws go through
+    /// [`next`](DrawProvider::next) and [`fill`](DrawProvider::fill)).
+    fn peek(&mut self, noises: &[Noise]) -> &[f64];
 
     /// Advances past `draws` values served by the last
-    /// [`peek_tuples`](DrawProvider::peek_tuples)/[`peek_pairs`](DrawProvider::peek_pairs)
-    /// slab (a multiple of the arity; may be less than the slab length when
-    /// the run halts mid-slab).
-    fn consume(&mut self, draws: usize);
+    /// [`peek`](DrawProvider::peek) slab (a multiple of the arity; may be
+    /// less than the slab length when the run halts mid-slab).
+    fn consume(&mut self, _draws: usize) {}
 
-    /// Fills `out` with `base[i] + Lap(scale)`, one draw per element in
-    /// index order — the Noisy-Max / measurement shape. Serves exactly
-    /// `base.len()` draws; draw-exact providers pull exactly that much from
-    /// the underlying stream, while blocked providers drain their buffered
-    /// lookahead first (and may buffer more), so the served sequence always
-    /// matches the sequential reference.
-    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>);
-
-    /// One standard-shape `Gumbel(beta)` draw (location 0) — the
-    /// exponential-mechanism race shape, one draw per query in stream
-    /// order. Consumes one uniform of the underlying stream on every
-    /// provider (the one-uniform inverse-CDF transform).
-    fn gumbel_next(&mut self, beta: f64) -> f64;
-
-    /// One one-sided `Exp(beta)` draw; same serving contract as
-    /// [`gumbel_next`](DrawProvider::gumbel_next).
-    fn exp_next(&mut self, beta: f64) -> f64;
-
-    /// One staircase draw from `dist` — the variance-optimal measurement
-    /// shape. Consumes exactly four uniforms of the underlying stream
-    /// (the Geng–Viswanath four-variable representation) on every provider.
-    fn staircase_next(&mut self, dist: &Staircase) -> f64;
-
-    /// Fills `out` with `base[i] +` a staircase draw from `dist`, one draw
-    /// (four uniforms) per element in index order — the staircase
-    /// measurement batch shape. The distribution is constructed once by the
-    /// caller; the dyn adapter intentionally re-derives it per draw (the
-    /// draw-exact reference cost the batched paths hoist).
-    fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>);
-
-    /// Fills `out` with `base[i] + Gumbel(beta)`, one draw per element in
-    /// index order — the batched exponential-mechanism race shape. The
-    /// default loops [`gumbel_next`](DrawProvider::gumbel_next), so it is
-    /// bit-identical to the race's per-query draws on every single-stream
-    /// provider; the per-block providers override it with their block
-    /// engines (same layout as [`fill_offset`](DrawProvider::fill_offset)).
-    fn gumbel_fill_offset(&mut self, base: &[f64], beta: f64, out: &mut Vec<f64>) {
+    /// Fills `out` with `base[i] +` a draw from `noise`, one draw per
+    /// element in index order — the Noisy-Max / measurement shape. Serves
+    /// exactly `base.len()` draws; draw-exact providers pull exactly that
+    /// much from the underlying stream, while blocked providers drain their
+    /// buffered lookahead first (and may buffer more), so the served
+    /// sequence always matches the sequential reference. The default loops
+    /// [`next`](DrawProvider::next).
+    fn fill(&mut self, base: &[f64], noise: Noise, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(base.iter().map(|b| b + self.gumbel_next(beta)));
+        out.extend(base.iter().map(|b| b + self.next(noise)));
+    }
+
+    /// [`fill`](DrawProvider::fill) with `Lap(scale)` noise, for callers
+    /// that hold a bare scale.
+    ///
+    /// # Panics
+    /// Panics when `scale` is not positive and finite.
+    #[allow(clippy::expect_used)]
+    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
+        // lint:allow(panic-freedom): documented panic — callers pass a scale their mechanism validated
+        let lap = Laplace::new(scale).expect("mechanism-validated scale");
+        self.fill(base, Noise::Laplace(lap), out);
     }
 
     /// Writes the indices of the `m` largest of `values` into `out`
@@ -217,15 +140,44 @@ pub trait DrawProvider {
     }
 }
 
+/// Checks the [`peek`](DrawProvider::peek) contract on a tuple: arity in
+/// `1..=MAX_TUPLE`, every slot a one-uniform family.
+pub(crate) fn check_tuple(noises: &[Noise]) {
+    // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
+    assert!(
+        (1..=MAX_TUPLE).contains(&noises.len()),
+        "tuple arity must be in 1..={MAX_TUPLE}"
+    );
+    // lint:allow(panic-freedom): tuple families are a compile-time property of the mechanism core, never user input
+    assert!(
+        noises.iter().all(|n| n.uniforms() == 1),
+        "tuple slots must take one uniform each (no staircase)"
+    );
+}
+
+/// Draws one sequential tuple into `buf` — the `peek` of the draw-exact
+/// providers, which cannot look ahead without changing what they serve.
+fn draw_tuple<'b>(
+    buf: &'b mut [f64; MAX_TUPLE],
+    noises: &[Noise],
+    mut draw: impl FnMut(&Noise) -> f64,
+) -> &'b [f64] {
+    check_tuple(noises);
+    for (slot, noise) in buf.iter_mut().zip(noises) {
+        *slot = draw(noise);
+    }
+    &buf[..noises.len()]
+}
+
 /// Draw-provider adapter over the alignment crate's `dyn NoiseSource` — the
 /// reference path the checker interposes on (recording and replaying noise
-/// tapes). Strictly draw-exact: every draw is forwarded 1:1, in order, at
-/// the requested scale, so recorded tapes are identical to a hand-written
+/// tapes). Strictly draw-exact: every draw is forwarded 1:1, in order, with
+/// the requested spec, so recorded tapes are identical to a hand-written
 /// per-draw loop.
 pub struct SourceDraws<'a> {
     source: &'a mut dyn NoiseSource,
-    /// One-tuple backing store for `peek_tuples` (a dyn source cannot look
-    /// ahead without corrupting the tape).
+    /// One-tuple backing store for `peek` (a dyn source cannot look ahead
+    /// without corrupting the tape).
     tuple: [f64; MAX_TUPLE],
 }
 
@@ -240,99 +192,20 @@ impl<'a> SourceDraws<'a> {
 }
 
 impl DrawProvider for SourceDraws<'_> {
-    fn begin(&mut self) {}
-
-    fn predicted_draws(&self) -> usize {
-        0
+    fn next(&mut self, noise: Noise) -> f64 {
+        self.source.draw(&noise)
     }
 
-    fn next(&mut self, scale: f64) -> f64 {
-        self.source.laplace(scale)
-    }
-
-    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        self.source.discrete_laplace(unit_epsilon, gamma)
-    }
-
-    fn discrete_peek_tuples(&mut self, unit_epsilons: &[f64], gamma: f64) -> &[f64] {
-        let m = unit_epsilons.len();
-        // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
-        assert!(
-            (1..=MAX_TUPLE).contains(&m),
-            "tuple arity must be in 1..={MAX_TUPLE}"
-        );
-        for (slot, &rate) in self.tuple[..m].iter_mut().zip(unit_epsilons) {
-            *slot = self.source.discrete_laplace(rate, gamma);
-        }
-        &self.tuple[..m]
-    }
-
-    fn discrete_consume(&mut self, _draws: usize) {}
-
-    fn discrete_fill_offset(
-        &mut self,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.extend(
-            base.iter()
-                .map(|b| b + self.source.discrete_laplace(unit_epsilon, gamma)),
-        );
-    }
-
-    fn peek_tuples(&mut self, scales: &[f64]) -> &[f64] {
-        let m = scales.len();
-        // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
-        assert!(
-            (1..=MAX_TUPLE).contains(&m),
-            "tuple arity must be in 1..={MAX_TUPLE}"
-        );
-        for (slot, &scale) in self.tuple[..m].iter_mut().zip(scales) {
-            *slot = self.source.laplace(scale);
-        }
-        &self.tuple[..m]
-    }
-
-    fn consume(&mut self, _draws: usize) {}
-
-    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(base.iter().map(|b| b + self.source.laplace(scale)));
-    }
-
-    fn gumbel_next(&mut self, beta: f64) -> f64 {
-        self.source.gumbel(beta)
-    }
-
-    fn exp_next(&mut self, beta: f64) -> f64 {
-        self.source.exponential(beta)
-    }
-
-    fn staircase_next(&mut self, dist: &Staircase) -> f64 {
-        self.source
-            .staircase(dist.epsilon(), dist.sensitivity(), dist.gamma())
-    }
-
-    fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>) {
-        // Forwarded draw-by-draw: the source reconstructs the distribution
-        // per draw (one `exp` + one `ln` each), which is exactly the
-        // reference cost the scratch providers hoist out of the loop.
-        out.clear();
-        out.extend(base.iter().map(|b| {
-            b + self
-                .source
-                .staircase(dist.epsilon(), dist.sensitivity(), dist.gamma())
-        }));
+    fn peek(&mut self, noises: &[Noise]) -> &[f64] {
+        let source = &mut *self.source;
+        draw_tuple(&mut self.tuple, noises, |n| source.draw(n))
     }
 }
 
 /// Blocked monomorphic draw provider over [`SvtScratch`] — the Monte-Carlo
-/// fast path. Unit noise is generated in bounded
-/// [`BlockBuffer`](free_gap_noise::BlockBuffer) batches and rescaled per
-/// draw (bit-identical to sampling at the scale directly); `peek` calls
+/// fast path. Raw uniforms are generated in bounded
+/// [`BlockBuffer`](free_gap_noise::BlockBuffer) batches and transformed at
+/// serve time (bit-identical to sampling each spec directly); `peek` calls
 /// return whole buffered blocks so the hot loop iterates slabs with
 /// `chunks_exact` instead of per-draw cursor arithmetic. May consume more
 /// of the RNG stream than it serves — see the stream discipline in
@@ -359,53 +232,13 @@ impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {
     }
 
     #[inline]
-    fn next(&mut self, scale: f64) -> f64 {
-        self.scratch.next_scaled(self.rng, scale)
+    fn next(&mut self, noise: Noise) -> f64 {
+        self.scratch.next(self.rng, noise)
     }
 
     #[inline]
-    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        // Served from the shared raw-uniform tape: the distribution's
-        // exp/ln normalization is cached per rate, the draw's uniform comes
-        // from the same blocked tape the continuous draws use, and any
-        // buffered lookahead is consumed first — so discrete and continuous
-        // draws interleave without breaking the stream discipline.
-        self.scratch.discrete_next(self.rng, unit_epsilon, gamma)
-    }
-
-    #[inline]
-    fn discrete_peek_tuples(&mut self, unit_epsilons: &[f64], gamma: f64) -> &[f64] {
-        // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
-        assert!(
-            (1..=MAX_TUPLE).contains(&unit_epsilons.len()),
-            "tuple arity must be in 1..={MAX_TUPLE}"
-        );
-        self.scratch
-            .discrete_peek_tuples(self.rng, unit_epsilons, gamma)
-    }
-
-    #[inline]
-    fn discrete_consume(&mut self, draws: usize) {
-        self.scratch.consume_discrete(draws);
-    }
-
-    fn discrete_fill_offset(
-        &mut self,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        out: &mut Vec<f64>,
-    ) {
-        // Same shape as `fill_offset`: served through the tape so buffered
-        // lookahead drains first, refills stay blocked, and the per-draw
-        // loop carries no distribution construction.
-        self.scratch
-            .discrete_fill_offset(self.rng, base, unit_epsilon, gamma, out);
-    }
-
-    #[inline]
-    fn peek_tuples(&mut self, scales: &[f64]) -> &[f64] {
-        self.scratch.peek_tuples_scaled(self.rng, scales)
+    fn peek(&mut self, noises: &[Noise]) -> &[f64] {
+        self.scratch.peek(self.rng, noises)
     }
 
     #[inline]
@@ -413,54 +246,20 @@ impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {
         self.scratch.consume(draws);
     }
 
-    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        // Served through the block buffer, not the raw RNG: any unit draws
-        // buffered ahead by an earlier peek are consumed first, in order, so
-        // the stream-discipline contract ("served draws == sequential
-        // sampling loop") holds even when `fill_offset` follows `peek_*`.
-        // Refills still come in batched `fill_into` blocks, and
-        // `unit * scale` is bit-identical to sampling at `scale` directly.
-        out.clear();
-        out.extend(
-            base.iter()
-                .map(|b| b + self.scratch.next_scaled(self.rng, scale)),
-        );
-    }
-
-    #[inline]
-    fn gumbel_next(&mut self, beta: f64) -> f64 {
-        // Served from the shared raw-uniform tape through the uncached
-        // transform (the scale may vary per draw, and the run's watermark
-        // cache belongs to the unit-Laplace transform) — interleaves with
-        // every other family without breaking the stream discipline.
-        self.scratch.gumbel_next(self.rng, beta)
-    }
-
-    #[inline]
-    fn exp_next(&mut self, beta: f64) -> f64 {
-        self.scratch.exp_next(self.rng, beta)
-    }
-
-    #[inline]
-    fn staircase_next(&mut self, dist: &Staircase) -> f64 {
-        self.scratch.staircase_next(self.rng, dist)
-    }
-
-    fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>) {
-        // Tape-served like `fill_offset`: buffered lookahead drains first,
-        // refills stay blocked, and the caller-constructed distribution is
-        // reused across the whole batch.
-        self.scratch
-            .staircase_fill_offset(self.rng, base, dist, out);
+    fn fill(&mut self, base: &[f64], noise: Noise, out: &mut Vec<f64>) {
+        // Served through the tape, not the raw RNG: any draws buffered
+        // ahead by an earlier peek are consumed first, in order, so the
+        // stream-discipline contract ("served draws == sequential sampling
+        // loop") holds even when `fill` follows `peek`.
+        self.scratch.fill(self.rng, base, noise, out);
     }
 }
 
 /// Draw-exact monomorphic provider over a plain [`rand::Rng`] — no block
 /// lookahead, no `dyn` dispatch. This is the Top-K scratch path (which
 /// draws exactly `n` variates in one batched
-/// [`fill_into_offset`](free_gap_noise::ContinuousDistribution::fill_into_offset)
-/// pass) and a general-purpose provider for mechanisms without an
-/// [`SvtScratch`] at hand.
+/// [`Noise::fill_into_offset`] pass) and a general-purpose provider for
+/// mechanisms without an [`SvtScratch`] at hand.
 pub struct RngDraws<'a, R: Rng + ?Sized> {
     rng: &'a mut R,
     tuple: [f64; MAX_TUPLE],
@@ -476,154 +275,64 @@ impl<'a, R: Rng + ?Sized> RngDraws<'a, R> {
     }
 }
 
-// Draw-exact construction re-checks parameters the mechanism already
-// validated; the expects below are justified per-site for the lint.
-#[allow(clippy::expect_used)]
 impl<R: Rng + ?Sized> DrawProvider for RngDraws<'_, R> {
-    fn begin(&mut self) {}
-
-    fn predicted_draws(&self) -> usize {
-        0
-    }
-
-    fn next(&mut self, scale: f64) -> f64 {
-        Laplace::new(scale)
-            // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-            .expect("mechanism-validated scale")
-            .sample(self.rng)
-    }
-
-    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        DiscreteLaplace::new(unit_epsilon, gamma)
-            // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-            .expect("mechanism-validated rate")
-            .sample_value(self.rng)
-    }
-
-    fn discrete_peek_tuples(&mut self, unit_epsilons: &[f64], gamma: f64) -> &[f64] {
-        let m = unit_epsilons.len();
-        // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
-        assert!(
-            (1..=MAX_TUPLE).contains(&m),
-            "tuple arity must be in 1..={MAX_TUPLE}"
-        );
-        for (slot, &rate) in self.tuple[..m].iter_mut().zip(unit_epsilons) {
-            *slot = DiscreteLaplace::new(rate, gamma)
-                // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-                .expect("mechanism-validated rate")
-                .sample_value(self.rng);
-        }
-        &self.tuple[..m]
-    }
-
-    fn discrete_consume(&mut self, _draws: usize) {}
-
-    fn discrete_fill_offset(
-        &mut self,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        out: &mut Vec<f64>,
-    ) {
-        // One distribution construction for the whole batch (`exp`/`ln`
-        // hoisted), then the fused offset fill — the discrete analogue of
-        // the continuous `fill_into_offset` fast path.
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let dl = DiscreteLaplace::new(unit_epsilon, gamma).expect("mechanism-validated rate");
-        out.resize(base.len(), 0.0);
-        dl.fill_values_into_offset(self.rng, base, out);
-    }
-
-    fn peek_tuples(&mut self, scales: &[f64]) -> &[f64] {
-        let m = scales.len();
-        // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
-        assert!(
-            (1..=MAX_TUPLE).contains(&m),
-            "tuple arity must be in 1..={MAX_TUPLE}"
-        );
-        for (slot, &scale) in self.tuple[..m].iter_mut().zip(scales) {
-            *slot = Laplace::new(scale)
-                // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-                .expect("mechanism-validated scale")
-                .sample(self.rng);
-        }
-        &self.tuple[..m]
-    }
-
-    fn consume(&mut self, _draws: usize) {}
-
-    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let lap = Laplace::new(scale).expect("mechanism-validated scale");
-        out.resize(base.len(), 0.0);
-        lap.fill_into_offset(self.rng, base, out);
-    }
-
     #[inline]
-    fn gumbel_next(&mut self, beta: f64) -> f64 {
-        Gumbel::new(beta)
-            // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-            .expect("mechanism-validated scale")
-            .sample(self.rng)
+    fn next(&mut self, noise: Noise) -> f64 {
+        noise.sample(self.rng)
     }
 
-    #[inline]
-    fn exp_next(&mut self, beta: f64) -> f64 {
-        Exponential::new(beta)
-            // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-            .expect("mechanism-validated scale")
-            .sample(self.rng)
+    fn peek(&mut self, noises: &[Noise]) -> &[f64] {
+        let rng = &mut *self.rng;
+        draw_tuple(&mut self.tuple, noises, |n| n.sample(rng))
     }
 
-    #[inline]
-    fn staircase_next(&mut self, dist: &Staircase) -> f64 {
-        dist.sample(self.rng)
-    }
-
-    fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>) {
-        // The caller-constructed distribution serves the whole batch through
-        // the fused offset fill (construction, `exp`, and the stair-side
-        // normalization hoisted out of the per-draw loop).
+    fn fill(&mut self, base: &[f64], noise: Noise, out: &mut Vec<f64>) {
         out.resize(base.len(), 0.0);
-        dist.fill_into_offset(self.rng, base, out);
+        noise.fill_into_offset(self.rng, base, out);
     }
 }
 
-/// Sequential reference provider over the per-block sub-stream layout of
-/// [`free_gap_noise::par`] — the provider [`ParallelDraws`] must match
-/// bit-for-bit.
+/// Intra-run parallel provider over the per-block sub-stream layout of
+/// [`free_gap_noise::par`].
 ///
-/// Bulk fills ([`fill_offset`](DrawProvider::fill_offset) and its discrete /
-/// Gumbel / staircase siblings) reserve the run's next
+/// Bulk fills ([`fill`](DrawProvider::fill)) reserve the run's next
 /// [`par::blocks_for`]`(n)` block indices and draw block `b` from
-/// `derive_fast_stream(run_seed, b)`, replaying the blocks strictly in
-/// order. Scalar draws and tuple peeks are served from an internal
-/// [`SvtScratch`] tape over the reserved stream [`par::SCALAR_STREAM`], so
-/// they obey the usual stream discipline without ever touching a block
-/// stream. The provider owns all of its randomness — construct with
-/// [`new`](BlockSeqDraws::new), rebind between runs with
-/// [`reset`](BlockSeqDraws::reset).
+/// `derive_fast_stream(run_seed, b)`, filled by up to `threads` scoped
+/// threads over disjoint slabs; Top-K selection is reduced per chunk
+/// ([`select_top`](DrawProvider::select_top)). Scalar draws and tuple
+/// peeks are served from an internal [`SvtScratch`] tape over the reserved
+/// stream [`par::SCALAR_STREAM`], so they obey the usual stream discipline
+/// without ever touching a block stream.
+///
+/// Bit-identical at every thread count, because every block's noise is a
+/// pure function of `(run_seed, block index)` and the selection reduce
+/// preserves the sequential scan's total order exactly; `threads = 1` runs
+/// the sequential block engines without spawning. The provider owns all of
+/// its randomness — construct with [`new`](ParallelDraws::new), rebind
+/// between runs with [`reset`](ParallelDraws::reset).
 #[derive(Debug)]
-pub struct BlockSeqDraws {
+pub struct ParallelDraws {
     run_seed: u64,
     next_block: u64,
     scalar_rng: FastRng,
     tape: SvtScratch,
+    threads: usize,
+    chunk_tops: Vec<Vec<usize>>,
 }
 
-// Block engines re-check distribution parameters the mechanism already
-// validated; the expects below are justified per-site for the lint.
-#[allow(clippy::expect_used)]
-impl BlockSeqDraws {
-    /// Creates the provider for one run: scalar draws on
+impl ParallelDraws {
+    /// Creates the provider for one run with up to `threads` worker threads
+    /// (clamped to at least 1): scalar draws on
     /// `derive_fast_stream(run_seed, SCALAR_STREAM)`, bulk fills starting
     /// at block 0.
-    pub fn new(run_seed: u64) -> Self {
+    pub fn new(run_seed: u64, threads: usize) -> Self {
         Self {
             run_seed,
             next_block: 0,
             scalar_rng: derive_fast_stream(run_seed, par::SCALAR_STREAM),
             tape: SvtScratch::new(),
+            threads: threads.max(1),
+            chunk_tops: Vec::new(),
         }
     }
 
@@ -643,72 +352,13 @@ impl BlockSeqDraws {
         self.run_seed
     }
 
-    /// Reserves the consecutive block indices a bulk fill of `n` values
-    /// consumes, returning the first.
-    fn take_blocks(&mut self, n: usize) -> u64 {
-        let first = self.next_block;
-        self.next_block = self.next_block.wrapping_add(par::blocks_for(n));
-        first
-    }
-
-    /// The one continuous block-fill engine behind both providers:
-    /// `threads = 1` is the sequential reference, `threads > 1` the scoped
-    /// parallel fill — identical output either way.
-    fn fill_offset_engine(&mut self, base: &[f64], scale: f64, threads: usize, out: &mut Vec<f64>) {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let lap = Laplace::new(scale).expect("mechanism-validated scale");
-        out.resize(base.len(), 0.0);
-        let first = self.take_blocks(base.len());
-        par::par_fill_offset_blocks(&lap, self.run_seed, first, threads, base, out);
-    }
-
-    /// Discrete sibling of [`fill_offset_engine`](Self::fill_offset_engine).
-    fn discrete_fill_offset_engine(
-        &mut self,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let dl = DiscreteLaplace::new(unit_epsilon, gamma).expect("mechanism-validated rate");
-        out.resize(base.len(), 0.0);
-        let first = self.take_blocks(base.len());
-        par::par_fill_values_offset_blocks(&dl, self.run_seed, first, threads, base, out);
-    }
-
-    /// Gumbel sibling of [`fill_offset_engine`](Self::fill_offset_engine)
-    /// (the batched exponential-mechanism race fill).
-    fn gumbel_fill_offset_engine(
-        &mut self,
-        base: &[f64],
-        beta: f64,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let gum = Gumbel::new(beta).expect("mechanism-validated scale");
-        out.resize(base.len(), 0.0);
-        let first = self.take_blocks(base.len());
-        par::par_fill_offset_blocks(&gum, self.run_seed, first, threads, base, out);
-    }
-
-    /// Staircase sibling of [`fill_offset_engine`](Self::fill_offset_engine).
-    fn staircase_fill_offset_engine(
-        &mut self,
-        base: &[f64],
-        dist: &Staircase,
-        threads: usize,
-        out: &mut Vec<f64>,
-    ) {
-        out.resize(base.len(), 0.0);
-        let first = self.take_blocks(base.len());
-        par::par_fill_offset_blocks(dist, self.run_seed, first, threads, base, out);
+    /// The configured thread cap.
+    pub fn threads(&self) -> usize {
+        self.threads
     }
 }
 
-impl DrawProvider for BlockSeqDraws {
+impl DrawProvider for ParallelDraws {
     fn begin(&mut self) {
         self.tape.begin();
     }
@@ -718,45 +368,13 @@ impl DrawProvider for BlockSeqDraws {
     }
 
     #[inline]
-    fn next(&mut self, scale: f64) -> f64 {
-        self.tape.next_scaled(&mut self.scalar_rng, scale)
+    fn next(&mut self, noise: Noise) -> f64 {
+        self.tape.next(&mut self.scalar_rng, noise)
     }
 
     #[inline]
-    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        self.tape
-            .discrete_next(&mut self.scalar_rng, unit_epsilon, gamma)
-    }
-
-    #[inline]
-    fn discrete_peek_tuples(&mut self, unit_epsilons: &[f64], gamma: f64) -> &[f64] {
-        // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
-        assert!(
-            (1..=MAX_TUPLE).contains(&unit_epsilons.len()),
-            "tuple arity must be in 1..={MAX_TUPLE}"
-        );
-        self.tape
-            .discrete_peek_tuples(&mut self.scalar_rng, unit_epsilons, gamma)
-    }
-
-    #[inline]
-    fn discrete_consume(&mut self, draws: usize) {
-        self.tape.consume_discrete(draws);
-    }
-
-    fn discrete_fill_offset(
-        &mut self,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        out: &mut Vec<f64>,
-    ) {
-        self.discrete_fill_offset_engine(base, unit_epsilon, gamma, 1, out);
-    }
-
-    #[inline]
-    fn peek_tuples(&mut self, scales: &[f64]) -> &[f64] {
-        self.tape.peek_tuples_scaled(&mut self.scalar_rng, scales)
+    fn peek(&mut self, noises: &[Noise]) -> &[f64] {
+        self.tape.peek(&mut self.scalar_rng, noises)
     }
 
     #[inline]
@@ -764,152 +382,20 @@ impl DrawProvider for BlockSeqDraws {
         self.tape.consume(draws);
     }
 
-    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        self.fill_offset_engine(base, scale, 1, out);
-    }
-
-    #[inline]
-    fn gumbel_next(&mut self, beta: f64) -> f64 {
-        self.tape.gumbel_next(&mut self.scalar_rng, beta)
-    }
-
-    #[inline]
-    fn exp_next(&mut self, beta: f64) -> f64 {
-        self.tape.exp_next(&mut self.scalar_rng, beta)
-    }
-
-    #[inline]
-    fn staircase_next(&mut self, dist: &Staircase) -> f64 {
-        self.tape.staircase_next(&mut self.scalar_rng, dist)
-    }
-
-    fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>) {
-        self.staircase_fill_offset_engine(base, dist, 1, out);
-    }
-
-    fn gumbel_fill_offset(&mut self, base: &[f64], beta: f64, out: &mut Vec<f64>) {
-        self.gumbel_fill_offset_engine(base, beta, 1, out);
-    }
-}
-
-/// Intra-run parallel provider: [`BlockSeqDraws`]'s per-block streams,
-/// filled by up to `threads` scoped threads over disjoint slabs, with
-/// Top-K selection reduced per chunk
-/// ([`select_top`](DrawProvider::select_top)).
-///
-/// Bit-identical to [`BlockSeqDraws`] — and to itself at any other thread
-/// count — because every block's noise is a pure function of
-/// `(run_seed, block index)` and the selection reduce preserves the
-/// sequential scan's total order exactly. Scalar draws delegate to the
-/// inner sequential provider unchanged.
-#[derive(Debug)]
-pub struct ParallelDraws {
-    inner: BlockSeqDraws,
-    threads: usize,
-    chunk_tops: Vec<Vec<usize>>,
-}
-
-impl ParallelDraws {
-    /// Creates the provider for one run with up to `threads` worker threads
-    /// (clamped to at least 1). `threads = 1` degrades to the sequential
-    /// reference without spawning.
-    pub fn new(run_seed: u64, threads: usize) -> Self {
-        Self {
-            inner: BlockSeqDraws::new(run_seed),
-            threads: threads.max(1),
-            chunk_tops: Vec::new(),
+    fn fill(&mut self, base: &[f64], noise: Noise, out: &mut Vec<f64>) {
+        out.resize(base.len(), 0.0);
+        let first = self.next_block;
+        self.next_block = first.wrapping_add(par::blocks_for(base.len()));
+        let (seed, threads) = (self.run_seed, self.threads);
+        match noise {
+            Noise::Laplace(d) => par::par_fill_offset_blocks(&d, seed, first, threads, base, out),
+            Noise::DiscreteLaplace(d) => {
+                par::par_fill_values_offset_blocks(&d, seed, first, threads, base, out);
+            }
+            Noise::Gumbel(d) => par::par_fill_offset_blocks(&d, seed, first, threads, base, out),
+            Noise::Exp(d) => par::par_fill_offset_blocks(&d, seed, first, threads, base, out),
+            Noise::Staircase(d) => par::par_fill_offset_blocks(&d, seed, first, threads, base, out),
         }
-    }
-
-    /// Rebinds to a new run seed (see [`BlockSeqDraws::reset`]).
-    pub fn reset(&mut self, run_seed: u64) {
-        self.inner.reset(run_seed);
-    }
-
-    /// The configured thread cap.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl DrawProvider for ParallelDraws {
-    fn begin(&mut self) {
-        self.inner.begin();
-    }
-
-    fn predicted_draws(&self) -> usize {
-        self.inner.predicted_draws()
-    }
-
-    #[inline]
-    fn next(&mut self, scale: f64) -> f64 {
-        self.inner.next(scale)
-    }
-
-    #[inline]
-    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        self.inner.discrete_next(unit_epsilon, gamma)
-    }
-
-    #[inline]
-    fn discrete_peek_tuples(&mut self, unit_epsilons: &[f64], gamma: f64) -> &[f64] {
-        self.inner.discrete_peek_tuples(unit_epsilons, gamma)
-    }
-
-    #[inline]
-    fn discrete_consume(&mut self, draws: usize) {
-        self.inner.discrete_consume(draws);
-    }
-
-    fn discrete_fill_offset(
-        &mut self,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        out: &mut Vec<f64>,
-    ) {
-        self.inner
-            .discrete_fill_offset_engine(base, unit_epsilon, gamma, self.threads, out);
-    }
-
-    #[inline]
-    fn peek_tuples(&mut self, scales: &[f64]) -> &[f64] {
-        self.inner.peek_tuples(scales)
-    }
-
-    #[inline]
-    fn consume(&mut self, draws: usize) {
-        self.inner.consume(draws);
-    }
-
-    fn fill_offset(&mut self, base: &[f64], scale: f64, out: &mut Vec<f64>) {
-        self.inner
-            .fill_offset_engine(base, scale, self.threads, out);
-    }
-
-    #[inline]
-    fn gumbel_next(&mut self, beta: f64) -> f64 {
-        self.inner.gumbel_next(beta)
-    }
-
-    #[inline]
-    fn exp_next(&mut self, beta: f64) -> f64 {
-        self.inner.exp_next(beta)
-    }
-
-    #[inline]
-    fn staircase_next(&mut self, dist: &Staircase) -> f64 {
-        self.inner.staircase_next(dist)
-    }
-
-    fn staircase_fill_offset(&mut self, base: &[f64], dist: &Staircase, out: &mut Vec<f64>) {
-        self.inner
-            .staircase_fill_offset_engine(base, dist, self.threads, out);
-    }
-
-    fn gumbel_fill_offset(&mut self, base: &[f64], beta: f64, out: &mut Vec<f64>) {
-        self.inner
-            .gumbel_fill_offset_engine(base, beta, self.threads, out);
     }
 
     fn select_top(&mut self, values: &[f64], m: usize, out: &mut Vec<usize>) {
@@ -922,25 +408,100 @@ mod tests {
     use super::*;
     use free_gap_alignment::SamplingSource;
     use free_gap_noise::rng::rng_from_seed;
+    use free_gap_noise::{ContinuousDistribution, DiscreteLaplace, Exponential, Gumbel, Staircase};
+
+    fn lap(scale: f64) -> Noise {
+        Noise::Laplace(Laplace::new(scale).unwrap())
+    }
+
+    fn disc(rate: f64, gamma: f64) -> Noise {
+        Noise::DiscreteLaplace(DiscreteLaplace::new(rate, gamma).unwrap())
+    }
+
+    fn gumbel(beta: f64) -> Noise {
+        Noise::Gumbel(Gumbel::new(beta).unwrap())
+    }
+
+    fn stair() -> Noise {
+        Noise::Staircase(Staircase::new(0.8, 1.0, 0.3).unwrap())
+    }
 
     #[test]
     fn source_draws_forward_in_order() {
         let mut ref_rng = rng_from_seed(5);
-        let lap = |s: f64, r: &mut rand::rngs::StdRng| Laplace::new(s).unwrap().sample(r);
+        let lap_ref = |s: f64, r: &mut rand::rngs::StdRng| Laplace::new(s).unwrap().sample(r);
         let mut rng = rng_from_seed(5);
         let mut source = SamplingSource::new(&mut rng);
         let mut p = SourceDraws::new(&mut source);
         p.begin();
-        assert_eq!(p.next(2.0), lap(2.0, &mut ref_rng));
-        let pair = p.peek_pairs([3.0, 0.5]).to_vec();
+        assert_eq!(p.next(lap(2.0)), lap_ref(2.0, &mut ref_rng));
+        let pair = p.peek(&[lap(3.0), lap(0.5)]).to_vec();
         p.consume(2);
-        assert_eq!(pair, vec![lap(3.0, &mut ref_rng), lap(0.5, &mut ref_rng)]);
+        assert_eq!(
+            pair,
+            vec![lap_ref(3.0, &mut ref_rng), lap_ref(0.5, &mut ref_rng)]
+        );
         let mut out = Vec::new();
         p.fill_offset(&[10.0, 20.0], 1.5, &mut out);
         assert_eq!(
             out,
-            vec![10.0 + lap(1.5, &mut ref_rng), 20.0 + lap(1.5, &mut ref_rng)]
+            vec![
+                10.0 + lap_ref(1.5, &mut ref_rng),
+                20.0 + lap_ref(1.5, &mut ref_rng)
+            ]
         );
+    }
+
+    /// Runs `f` on the three single-stream providers over identically
+    /// seeded streams and asserts they served bit-identical values.
+    fn assert_single_stream_providers_agree(seed: u64, f: impl Fn(&mut dyn FnMut(Op) -> Vec<f64>)) {
+        let mut rng_a = rng_from_seed(seed);
+        let mut source = SamplingSource::new(&mut rng_a);
+        let mut a = SourceDraws::new(&mut source);
+        let mut rng_b = rng_from_seed(seed);
+        let mut scratch = SvtScratch::new();
+        let mut b = ScratchDraws::new(&mut scratch, &mut rng_b);
+        let mut rng_c = rng_from_seed(seed);
+        let mut c = RngDraws::new(&mut rng_c);
+        a.begin();
+        b.begin();
+        c.begin();
+        let mut step = 0usize;
+        f(&mut |op| {
+            step += 1;
+            let (x, y, z) = (op.apply(&mut a), op.apply(&mut b), op.apply(&mut c));
+            for (i, v) in x.iter().enumerate() {
+                assert_eq!(v.to_bits(), y[i].to_bits(), "step {step} {op:?} slot {i}");
+                assert_eq!(v.to_bits(), z[i].to_bits(), "step {step} {op:?} slot {i}");
+            }
+            x
+        });
+    }
+
+    /// One request against a provider, for the cross-provider tests.
+    #[derive(Debug)]
+    enum Op<'a> {
+        Next(Noise),
+        Peek(&'a [Noise]),
+        Fill(&'a [f64], Noise),
+    }
+
+    impl Op<'_> {
+        fn apply<P: DrawProvider>(&self, p: &mut P) -> Vec<f64> {
+            match self {
+                Op::Next(n) => vec![p.next(*n)],
+                Op::Peek(ns) => {
+                    let tuple = p.peek(ns)[..ns.len()].to_vec();
+                    p.consume(ns.len());
+                    tuple
+                }
+                Op::Fill(base, n) => {
+                    let mut out = Vec::new();
+                    p.fill(base, *n, &mut out);
+                    out
+                }
+            }
+        }
     }
 
     #[test]
@@ -948,123 +509,46 @@ mod tests {
         // The three providers over identically seeded streams serve
         // bit-identical draws for the same request sequence — the unification
         // invariant (full interleaving coverage lives in
-        // `tests/draw_provider.rs`).
-        let mut rng_a = rng_from_seed(11);
-        let mut source = SamplingSource::new(&mut rng_a);
-        let mut a = SourceDraws::new(&mut source);
-        let mut rng_b = rng_from_seed(11);
-        let mut scratch = SvtScratch::new();
-        let mut b = ScratchDraws::new(&mut scratch, &mut rng_b);
-        let mut rng_c = rng_from_seed(11);
-        let mut c = RngDraws::new(&mut rng_c);
-        a.begin();
-        b.begin();
-        c.begin();
-        for i in 0..50 {
-            let scale = 0.5 + (i % 7) as f64;
-            let (x, y, z) = (a.next(scale), b.next(scale), c.next(scale));
-            assert_eq!(x.to_bits(), y.to_bits(), "draw {i}");
-            assert_eq!(x.to_bits(), z.to_bits(), "draw {i}");
-            // Every third round, interleave a discrete draw: all providers
-            // must keep serving one shared sequential stream across the
-            // family switch (the finite-precision interleaving contract).
-            if i % 3 == 0 {
-                let rate = 0.2 + (i % 5) as f64 * 0.3;
-                let (x, y, z) = (
-                    a.discrete_next(rate, 1.0),
-                    b.discrete_next(rate, 1.0),
-                    c.discrete_next(rate, 1.0),
-                );
-                assert_eq!(x.to_bits(), y.to_bits(), "discrete draw {i}");
-                assert_eq!(x.to_bits(), z.to_bits(), "discrete draw {i}");
+        // `tests/draw_provider.rs`). Every third round interleaves a
+        // discrete draw: all providers must keep serving one shared
+        // sequential stream across the family switch.
+        assert_single_stream_providers_agree(11, |run| {
+            for i in 0..50 {
+                run(Op::Next(lap(0.5 + (i % 7) as f64)));
+                if i % 3 == 0 {
+                    run(Op::Next(disc(0.2 + (i % 5) as f64 * 0.3, 1.0)));
+                }
             }
-        }
+        });
     }
 
     #[test]
     fn discrete_peek_and_fill_serve_identical_streams() {
-        let mut rng_a = rng_from_seed(19);
-        let mut source = SamplingSource::new(&mut rng_a);
-        let mut a = SourceDraws::new(&mut source);
-        let mut rng_b = rng_from_seed(19);
-        let mut scratch = SvtScratch::new();
-        let mut b = ScratchDraws::new(&mut scratch, &mut rng_b);
-        let mut rng_c = rng_from_seed(19);
-        let mut c = RngDraws::new(&mut rng_c);
-        a.begin();
-        b.begin();
-        c.begin();
-        let rates = [0.8, 0.25];
-        let pa = a.discrete_peek_pairs(rates, 0.5)[..2].to_vec();
-        a.discrete_consume(2);
-        let pb = b.discrete_peek_pairs(rates, 0.5)[..2].to_vec();
-        b.discrete_consume(2);
-        let pc = c.discrete_peek_pairs(rates, 0.5)[..2].to_vec();
-        c.discrete_consume(2);
-        assert_eq!(pa[0].to_bits(), pb[0].to_bits());
-        assert_eq!(pa[1].to_bits(), pb[1].to_bits());
-        assert_eq!(pa[0].to_bits(), pc[0].to_bits());
-        assert_eq!(pa[1].to_bits(), pc[1].to_bits());
-        let base = [10.0, 20.0, 30.0];
-        let (mut oa, mut ob, mut oc) = (Vec::new(), Vec::new(), Vec::new());
-        a.discrete_fill_offset(&base, 0.6, 1.0, &mut oa);
-        b.discrete_fill_offset(&base, 0.6, 1.0, &mut ob);
-        c.discrete_fill_offset(&base, 0.6, 1.0, &mut oc);
-        for i in 0..base.len() {
-            assert_eq!(oa[i].to_bits(), ob[i].to_bits(), "fill slot {i}");
-            assert_eq!(oa[i].to_bits(), oc[i].to_bits(), "fill slot {i}");
-        }
+        assert_single_stream_providers_agree(19, |run| {
+            run(Op::Peek(&[disc(0.8, 0.5), disc(0.25, 0.5)]));
+            run(Op::Fill(&[10.0, 20.0, 30.0], disc(0.6, 1.0)));
+        });
     }
 
     #[test]
     fn baseline_shapes_serve_identical_streams() {
-        // gumbel/exp/staircase draws across the three providers on
-        // identically seeded streams — the same unification invariant as
-        // the Laplace/discrete shapes (full interleaving coverage lives in
-        // `tests/draw_provider.rs`).
-        let stair = Staircase::new(0.8, 1.0, 0.3).expect("valid shape");
-        let mut rng_a = rng_from_seed(23);
-        let mut source = SamplingSource::new(&mut rng_a);
-        let mut a = SourceDraws::new(&mut source);
-        let mut rng_b = rng_from_seed(23);
-        let mut scratch = SvtScratch::new();
-        let mut b = ScratchDraws::new(&mut scratch, &mut rng_b);
-        let mut rng_c = rng_from_seed(23);
-        let mut c = RngDraws::new(&mut rng_c);
-        a.begin();
-        b.begin();
-        c.begin();
-        for i in 0..40 {
-            let beta = 0.5 + (i % 5) as f64;
-            let (x, y, z) = (
-                a.gumbel_next(beta),
-                b.gumbel_next(beta),
-                c.gumbel_next(beta),
-            );
-            assert_eq!(x.to_bits(), y.to_bits(), "gumbel {i}");
-            assert_eq!(x.to_bits(), z.to_bits(), "gumbel {i}");
-            let (x, y, z) = (a.exp_next(beta), b.exp_next(beta), c.exp_next(beta));
-            assert_eq!(x.to_bits(), y.to_bits(), "exponential {i}");
-            assert_eq!(x.to_bits(), z.to_bits(), "exponential {i}");
-            if i % 3 == 0 {
-                let (x, y, z) = (
-                    a.staircase_next(&stair),
-                    b.staircase_next(&stair),
-                    c.staircase_next(&stair),
-                );
-                assert_eq!(x.to_bits(), y.to_bits(), "staircase {i}");
-                assert_eq!(x.to_bits(), z.to_bits(), "staircase {i}");
+        // gumbel/exp/staircase draws, a mixed-family tuple and a staircase
+        // fill across the three providers on identically seeded streams.
+        assert_single_stream_providers_agree(23, |run| {
+            for i in 0..40 {
+                let beta = 0.5 + (i % 5) as f64;
+                run(Op::Next(gumbel(beta)));
+                run(Op::Next(Noise::Exp(Exponential::new(beta).unwrap())));
+                if i % 3 == 0 {
+                    run(Op::Next(stair()));
+                }
+                if i % 4 == 0 {
+                    let exp = Noise::Exp(Exponential::new(0.5).unwrap());
+                    run(Op::Peek(&[lap(2.0), exp, disc(0.5, 1.0), gumbel(1.0)]));
+                }
             }
-        }
-        let base = [5.0, -2.0, 11.0];
-        let (mut oa, mut ob, mut oc) = (Vec::new(), Vec::new(), Vec::new());
-        a.staircase_fill_offset(&base, &stair, &mut oa);
-        b.staircase_fill_offset(&base, &stair, &mut ob);
-        c.staircase_fill_offset(&base, &stair, &mut oc);
-        for i in 0..base.len() {
-            assert_eq!(oa[i].to_bits(), ob[i].to_bits(), "staircase fill {i}");
-            assert_eq!(oa[i].to_bits(), oc[i].to_bits(), "staircase fill {i}");
-        }
+            run(Op::Fill(&[5.0, -2.0, 11.0], stair()));
+        });
     }
 
     #[test]
@@ -1072,7 +556,15 @@ mod tests {
     fn oversized_tuple_is_rejected() {
         let mut rng = rng_from_seed(1);
         let mut p = RngDraws::new(&mut rng);
-        p.peek_tuples(&[1.0; MAX_TUPLE + 1]);
+        p.peek(&[lap(1.0); MAX_TUPLE + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no staircase")]
+    fn staircase_tuple_slot_is_rejected() {
+        let mut rng = rng_from_seed(1);
+        let mut scratch = SvtScratch::new();
+        ScratchDraws::new(&mut scratch, &mut rng).peek(&[lap(1.0), stair()]);
     }
 
     /// Order-sensitive digest over f64 bit patterns (same fold family as
@@ -1087,28 +579,27 @@ mod tests {
         acc
     }
 
-    /// Drives one provider through every bulk-fill shape plus interleaved
+    /// Drives one provider through every bulk-fill family plus interleaved
     /// scalar draws and returns the digest of everything it served.
     fn drive_block_provider<P: DrawProvider>(p: &mut P, n: usize) -> u64 {
         let base: Vec<f64> = (0..n).map(|i| (i % 101) as f64 - 13.0).collect();
-        let stair = Staircase::new(0.8, 1.0, 0.3).expect("valid shape");
         let mut out = Vec::new();
         let mut acc = Vec::new();
         p.begin();
         p.fill_offset(&base, 2.5, &mut out);
         acc.extend_from_slice(&out);
-        acc.push(p.next(1.5));
-        p.discrete_fill_offset(&base, 0.4, 1.0, &mut out);
+        acc.push(p.next(lap(1.5)));
+        p.fill(&base, disc(0.4, 1.0), &mut out);
         acc.extend_from_slice(&out);
-        acc.push(p.discrete_next(0.3, 1.0));
-        p.gumbel_fill_offset(&base, 1.0, &mut out);
+        acc.push(p.next(disc(0.3, 1.0)));
+        p.fill(&base, gumbel(1.0), &mut out);
         acc.extend_from_slice(&out);
-        acc.push(p.gumbel_next(2.0));
-        p.staircase_fill_offset(&base, &stair, &mut out);
+        acc.push(p.next(gumbel(2.0)));
+        p.fill(&base, stair(), &mut out);
         acc.extend_from_slice(&out);
-        acc.push(p.exp_next(0.7));
-        acc.push(p.staircase_next(&stair));
-        let pair = p.peek_pairs([3.0, 0.5]);
+        acc.push(p.next(Noise::Exp(Exponential::new(0.7).unwrap())));
+        acc.push(p.next(stair()));
+        let pair = p.peek(&[lap(3.0), lap(0.5)]);
         let (a, b) = (pair[0], pair[1]);
         p.consume(2);
         acc.push(a);
@@ -1125,14 +616,14 @@ mod tests {
 
     #[test]
     fn parallel_draws_match_sequential_reference_for_all_thread_counts() {
-        // The tentpole invariant: ParallelDraws at threads {1, 2, 4} and
-        // the sequential reference BlockSeqDraws serve bit-identical draws
-        // across every fill shape, interleaved with scalar draws, at sizes
-        // spanning block boundaries.
+        // ParallelDraws at threads {2, 4} and the sequential reference
+        // (threads = 1, the sequential block engines) serve bit-identical
+        // draws across every fill family, interleaved with scalar draws, at
+        // sizes spanning block boundaries.
         for n in [5, 100, par::BLOCK_LEN, 2 * par::BLOCK_LEN + 7, 9000] {
-            let mut reference = BlockSeqDraws::new(42);
+            let mut reference = ParallelDraws::new(42, 1);
             let want = drive_block_provider(&mut reference, n);
-            for threads in [1, 2, 4] {
+            for threads in [2, 4] {
                 let mut p = ParallelDraws::new(42, threads);
                 assert_eq!(
                     drive_block_provider(&mut p, n),
@@ -1154,19 +645,15 @@ mod tests {
 
     #[test]
     fn reset_matches_fresh_construction() {
-        let mut fresh = BlockSeqDraws::new(99);
+        let mut fresh = ParallelDraws::new(99, 1);
         let want = drive_block_provider(&mut fresh, 1000);
         // Run a different seed first, then reset: served draws must be a
         // pure function of the run seed, not of buffer history.
-        let mut reused = BlockSeqDraws::new(7);
+        let mut reused = ParallelDraws::new(7, 4);
         drive_block_provider(&mut reused, 500);
         reused.reset(99);
         assert_eq!(drive_block_provider(&mut reused, 1000), want);
-        let mut par_reused = ParallelDraws::new(7, 4);
-        drive_block_provider(&mut par_reused, 500);
-        par_reused.reset(99);
-        assert_eq!(drive_block_provider(&mut par_reused, 1000), want);
-        assert_eq!(par_reused.threads(), 4);
+        assert_eq!(reused.threads(), 4);
         assert_eq!(fresh.run_seed(), 99);
     }
 
@@ -1174,14 +661,14 @@ mod tests {
     fn scalar_draws_ride_the_reserved_stream() {
         // Scalar draws must come off SCALAR_STREAM regardless of how many
         // blocks bulk fills consumed — pin them against a hand-built tape.
-        let mut p = BlockSeqDraws::new(11);
+        let mut p = ParallelDraws::new(11, 1);
         p.begin();
         let mut out = Vec::new();
         p.fill_offset(&[0.0; 100], 1.0, &mut out);
-        let x = p.next(2.0);
-        let mut q = BlockSeqDraws::new(11);
+        let x = p.next(lap(2.0));
+        let mut q = ParallelDraws::new(11, 1);
         q.begin();
-        let y = q.next(2.0);
+        let y = q.next(lap(2.0));
         assert_eq!(
             x.to_bits(),
             y.to_bits(),

@@ -1,5 +1,6 @@
 //! Error type for mechanism construction and execution.
 
+use free_gap_noise::{DiscreteLaplace, Laplace};
 use std::fmt;
 
 /// Errors raised when configuring or running a mechanism.
@@ -7,6 +8,14 @@ use std::fmt;
 pub enum MechanismError {
     /// The privacy budget must be positive and finite.
     InvalidEpsilon {
+        /// The rejected value.
+        value: f64,
+    },
+    /// A parameter that is not a privacy budget (support step γ, threshold,
+    /// sensitivity, σ-multiplier, variance, λ) left its domain.
+    InvalidParameter {
+        /// Name of the parameter.
+        name: &'static str,
         /// The rejected value.
         value: f64,
     },
@@ -85,6 +94,9 @@ impl fmt::Display for MechanismError {
                     "privacy budget ε must be positive and finite, got {value}"
                 )
             }
+            MechanismError::InvalidParameter { name, value } => {
+                write!(f, "parameter `{name}` is out of its domain: got {value}")
+            }
             MechanismError::InvalidK { k, requirement } => {
                 write!(f, "invalid k = {k}: {requirement}")
             }
@@ -133,6 +145,34 @@ pub(crate) fn require_epsilon(value: f64) -> Result<f64, MechanismError> {
     }
 }
 
+/// Validates a non-budget parameter that must be positive and finite.
+pub(crate) fn require_positive(name: &'static str, value: f64) -> Result<f64, MechanismError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        Err(MechanismError::InvalidParameter { name, value })
+    }
+}
+
+/// Builds the `Lap(scale)` noise for a scale derived from the budget
+/// `epsilon`. A finite ε can still overflow its derived scale (`2k/ε` at
+/// `ε = 1e-310` is `inf`), so the ε is rejected when the scale is not a
+/// valid Laplace parameter.
+pub(crate) fn laplace_noise(epsilon: f64, scale: f64) -> Result<Laplace, MechanismError> {
+    Laplace::new(scale).map_err(|_| MechanismError::InvalidEpsilon { value: epsilon })
+}
+
+/// Discrete twin of [`laplace_noise`]: the discrete Laplace at the per-unit
+/// `rate` derived from `epsilon`, over the lattice `{kγ}`. A rate so small
+/// that `e^{-rate·γ}` rounds to 1 is rejected like an overflowing scale.
+pub(crate) fn discrete_noise(
+    epsilon: f64,
+    rate: f64,
+    gamma: f64,
+) -> Result<DiscreteLaplace, MechanismError> {
+    DiscreteLaplace::new(rate, gamma).map_err(|_| MechanismError::InvalidEpsilon { value: epsilon })
+}
+
 /// Validates a fraction strictly inside `(0, 1)`.
 pub(crate) fn require_fraction(name: &'static str, value: f64) -> Result<f64, MechanismError> {
     if value.is_finite() && value > 0.0 && value < 1.0 {
@@ -152,6 +192,20 @@ mod tests {
         for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(require_epsilon(v).is_err());
         }
+    }
+
+    #[test]
+    fn derived_noise_rejects_overflowing_epsilon() {
+        assert_eq!(
+            laplace_noise(1e-310, 2.0 / 1e-310),
+            Err(MechanismError::InvalidEpsilon { value: 1e-310 })
+        );
+        assert!(discrete_noise(1e-20, 1e-20, 1.0).is_err());
+        assert!(laplace_noise(1.0, 2.0).is_ok());
+        assert!(matches!(
+            require_positive("gamma", f64::NAN),
+            Err(MechanismError::InvalidParameter { name: "gamma", .. })
+        ));
     }
 
     #[test]
@@ -190,6 +244,11 @@ mod tests {
             requirement: "must be at least 1",
         };
         assert!(e.to_string().contains("tenants"));
+        let e = MechanismError::InvalidParameter {
+            name: "gamma",
+            value: -1.0,
+        };
+        assert!(e.to_string().contains("gamma") && !e.to_string().contains('ε'));
         let e = MechanismError::WorkerPanicked { worker: 2 };
         assert!(e.to_string().contains("worker 2"));
     }

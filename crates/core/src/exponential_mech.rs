@@ -31,6 +31,7 @@ use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, RngDraws};
 use crate::error::{require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
+use free_gap_noise::{Gumbel, Noise};
 use rand::Rng;
 use std::cmp::Ordering;
 
@@ -133,7 +134,7 @@ impl ExponentialMechanism {
         if !q.is_finite() {
             return Err(MechanismError::NonFiniteUtility { index, value: q });
         }
-        Ok(q * t + provider.gumbel_next(1.0))
+        Ok(q * t + provider.next(Noise::Gumbel(Gumbel::standard())))
     }
 
     /// The single copy of the Gumbel-max race, generic over the
@@ -189,7 +190,7 @@ impl ExponentialMechanism {
 
     /// The intra-run parallel race: all utilities are validated up front,
     /// every score `qᵢ·t + Gumbelᵢ` is produced in one batched
-    /// [`gumbel_fill_offset`](DrawProvider::gumbel_fill_offset) (split
+    /// [`fill`](DrawProvider::fill) (split
     /// across a per-block provider's threads), and the race's insertion
     /// rule replays over the precomputed scores in index order — the exact
     /// `f64`-total-order rule of `race_core`, so the result is
@@ -210,7 +211,11 @@ impl ExponentialMechanism {
         let t = self.exponent();
         scratch.aux.clear();
         scratch.aux.extend(values.iter().map(|q| q * t));
-        provider.gumbel_fill_offset(&scratch.aux, 1.0, &mut scratch.noisy);
+        provider.fill(
+            &scratch.aux,
+            Noise::Gumbel(Gumbel::standard()),
+            &mut scratch.noisy,
+        );
         // The race's insertion rule over the precomputed scores: `out`
         // holds the k best indices, descending under the total order, ties
         // to the smaller index (identical to `race_core`, which compares

@@ -7,15 +7,17 @@
 //! i.e. noise `Lap(kΔ/ε)`.
 
 use crate::answers::QueryAnswers;
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{laplace_noise, require_epsilon, require_positive, MechanismError};
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
+use free_gap_noise::{Laplace, Noise};
 use rand::rngs::StdRng;
 
 /// Laplace mechanism over a vector of sensitivity-1 queries.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaplaceMechanism {
     epsilon: f64,
-    sensitivity: f64,
+    /// `Lap(Δ/ε)`, the per-query noise.
+    noise: Laplace,
 }
 
 impl LaplaceMechanism {
@@ -23,18 +25,17 @@ impl LaplaceMechanism {
     /// query (or a vector measured under *parallel* per-query budgets — see
     /// [`measure_each`](Self::measure_each)).
     pub fn new(epsilon: f64) -> Result<Self, MechanismError> {
+        let epsilon = require_epsilon(epsilon)?;
         Ok(Self {
-            epsilon: require_epsilon(epsilon)?,
-            sensitivity: 1.0,
+            epsilon,
+            noise: laplace_noise(epsilon, 1.0 / epsilon)?,
         })
     }
 
     /// Overrides the sensitivity (`Δ`) used for the noise scale.
     pub fn with_sensitivity(mut self, sensitivity: f64) -> Result<Self, MechanismError> {
-        if !(sensitivity.is_finite() && sensitivity > 0.0) {
-            return Err(MechanismError::InvalidEpsilon { value: sensitivity });
-        }
-        self.sensitivity = sensitivity;
+        let sensitivity = require_positive("sensitivity", sensitivity)?;
+        self.noise = laplace_noise(self.epsilon, sensitivity / self.epsilon)?;
         Ok(self)
     }
 
@@ -45,7 +46,7 @@ impl LaplaceMechanism {
 
     /// The noise scale `Δ/ε`.
     pub fn scale(&self) -> f64 {
-        self.sensitivity / self.epsilon
+        self.noise.scale()
     }
 
     /// Noise variance per measurement, `2(Δ/ε)²`.
@@ -57,18 +58,24 @@ impl LaplaceMechanism {
     /// the queries are answered on disjoint data (parallel composition) or
     /// when `self.epsilon` is already the per-query share.
     pub fn measure_each(&self, answers: &[f64], source: &mut dyn NoiseSource) -> Vec<f64> {
-        answers
-            .iter()
-            .map(|a| a + source.laplace(self.scale()))
-            .collect()
+        let noise = Noise::Laplace(self.noise);
+        answers.iter().map(|a| a + source.draw(&noise)).collect()
     }
 
     /// Sequential-composition measurement: splits `self.epsilon` evenly over
     /// the `answers`, adding `Lap(kΔ/ε)` to each (the §5.2 protocol).
-    pub fn measure_split(&self, answers: &[f64], source: &mut dyn NoiseSource) -> Vec<f64> {
+    ///
+    /// # Errors
+    /// [`MechanismError::InvalidEpsilon`] when the split scale `kΔ/ε`
+    /// overflows.
+    pub fn measure_split(
+        &self,
+        answers: &[f64],
+        source: &mut dyn NoiseSource,
+    ) -> Result<Vec<f64>, MechanismError> {
         let k = answers.len().max(1) as f64;
-        let scale = self.scale() * k;
-        answers.iter().map(|a| a + source.laplace(scale)).collect()
+        let noise = Noise::Laplace(laplace_noise(self.epsilon, self.scale() * k)?);
+        Ok(answers.iter().map(|a| a + source.draw(&noise)).collect())
     }
 
     /// Variance of each [`measure_split`](Self::measure_split) output for a
@@ -80,7 +87,10 @@ impl LaplaceMechanism {
 
     /// Convenience wrapper over [`measure_split`](Self::measure_split) with a
     /// plain RNG.
-    pub fn run(&self, answers: &[f64], rng: &mut StdRng) -> Vec<f64> {
+    ///
+    /// # Errors
+    /// As [`measure_split`](Self::measure_split).
+    pub fn run(&self, answers: &[f64], rng: &mut StdRng) -> Result<Vec<f64>, MechanismError> {
         let mut source = SamplingSource::new(rng);
         self.measure_split(answers, &mut source)
     }
@@ -93,7 +103,10 @@ impl AlignedMechanism for LaplaceMechanism {
     type Output = Vec<f64>;
 
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> Vec<f64> {
+        #[allow(clippy::expect_used)]
         self.measure_split(input.values(), source)
+            // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
+            .expect("alignment checker workloads are pre-validated")
     }
 
     fn align(
@@ -128,10 +141,17 @@ mod tests {
     #[test]
     fn construction_validation() {
         assert!(LaplaceMechanism::new(0.0).is_err());
-        assert!(LaplaceMechanism::new(1.0)
-            .unwrap()
-            .with_sensitivity(-1.0)
-            .is_err());
+        assert!(matches!(
+            LaplaceMechanism::new(1.0).unwrap().with_sensitivity(-1.0),
+            Err(MechanismError::InvalidParameter {
+                name: "sensitivity",
+                ..
+            })
+        ));
+        assert!(matches!(
+            LaplaceMechanism::new(1e-310),
+            Err(MechanismError::InvalidEpsilon { .. })
+        ));
         let m = LaplaceMechanism::new(0.5)
             .unwrap()
             .with_sensitivity(2.0)
@@ -152,7 +172,7 @@ mod tests {
         let mut rng = rng_from_seed(42);
         let mut moments = RunningMoments::new();
         for _ in 0..100_000 {
-            let out = m.run(&[10.0, 20.0], &mut rng);
+            let out = m.run(&[10.0, 20.0], &mut rng).unwrap();
             moments.push(out[0] - 10.0);
         }
         assert!(moments.mean().abs() < 0.1);

@@ -38,7 +38,9 @@
 //!
 //! Each mechanism's decision/budget logic exists in **exactly one**
 //! function, generic over the [`draw::DrawProvider`] it draws noise
-//! through, and is reached through [`api::Mechanism::call`]: a
+//! through — every draw names its distribution as one
+//! [`free_gap_noise::Noise`] spec, which the mechanism validates once — and
+//! is reached through [`api::Mechanism::call`]: a
 //! [`api::QuerySlice`] in, a coercible [`api::MechanismOutput`] out. The
 //! execution path is the caller's choice of provider:
 //!

@@ -10,9 +10,10 @@
 use super::top_k_scale;
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{laplace_noise, require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_noise::{Laplace, Noise};
 
 /// Index-only Noisy Top-K (Dwork & Roth's Noisy Max generalized to `k`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,6 +21,7 @@ pub struct ClassicNoisyTopK {
     k: usize,
     epsilon: f64,
     monotonic: bool,
+    noise: Laplace,
 }
 
 impl ClassicNoisyTopK {
@@ -32,10 +34,12 @@ impl ClassicNoisyTopK {
                 requirement: "k must be at least 1",
             });
         }
+        let epsilon = require_epsilon(epsilon)?;
         Ok(Self {
             k,
-            epsilon: require_epsilon(epsilon)?,
+            epsilon,
             monotonic,
+            noise: laplace_noise(epsilon, top_k_scale(k, epsilon, monotonic))?,
         })
     }
 
@@ -51,7 +55,7 @@ impl ClassicNoisyTopK {
 
     /// The per-query Laplace scale.
     pub fn scale(&self) -> f64 {
-        top_k_scale(self.k, self.epsilon, self.monotonic)
+        self.noise.scale()
     }
 
     /// The single copy of the index-only selection, generic over the
@@ -72,7 +76,7 @@ impl ClassicNoisyTopK {
     ) -> Result<(), MechanismError> {
         crate::answers::require_min_len(answers, self.k + 1)?;
         provider.begin();
-        provider.fill_offset(answers, self.scale(), &mut scratch.noisy);
+        provider.fill(answers, Noise::Laplace(self.noise), &mut scratch.noisy);
         provider.select_top(&scratch.noisy, self.k, out);
         Ok(())
     }

@@ -18,11 +18,12 @@
 
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, SourceDraws};
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{discrete_noise, require_epsilon, require_positive, MechanismError};
 use crate::noisy_max::{TopKItem, TopKOutput};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
 use free_gap_noise::tie::union_tie_bound;
+use free_gap_noise::Noise;
 
 /// Noisy-Top-K-with-Gap over integer counts with discrete Laplace noise.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,15 +54,18 @@ impl DiscreteNoisyTopKWithGap {
                 requirement: "k must be at least 1",
             });
         }
-        if !(gamma.is_finite() && gamma > 0.0) {
-            return Err(MechanismError::InvalidEpsilon { value: gamma });
-        }
-        Ok(Self {
+        let mech = Self {
             k,
             epsilon: require_epsilon(epsilon)?,
             monotonic,
-            gamma,
-        })
+            gamma: require_positive("gamma", gamma)?,
+        };
+        // The rate must itself be a budget; whether `e^{-rate·γ}` is
+        // representable is checked per run (a machine-epsilon lattice is
+        // still a valid subject for the `delta` analysis).
+        require_epsilon(mech.unit_epsilon())
+            .map_err(|_| MechanismError::InvalidEpsilon { value: epsilon })?;
+        Ok(mech)
     }
 
     /// The total privacy budget `ε` one run costs.
@@ -99,12 +103,17 @@ impl DiscreteNoisyTopKWithGap {
     /// The single copy of the discrete Top-K selection, generic over the
     /// [`DrawProvider`] noise comes through: one discrete Laplace draw per
     /// query (batched by the provider's
-    /// [`discrete_fill_offset`](DrawProvider::discrete_fill_offset), fused
+    /// [`fill`](DrawProvider::fill), fused
     /// with the `+ q` offset so the `n`-sized buffer is written exactly
     /// once), selection of the top `k + 1`, gap construction. Buffers live
     /// in `scratch`; the output is written into `out`, reusing its buffer.
     /// Ties among noisy answers are broken by the smaller index; `delta(n)`
     /// bounds the probability that a tie among the top `k + 1` occurred.
+    ///
+    /// # Errors
+    /// [`MechanismError::NotEnoughQueries`] if the workload has fewer than
+    /// `k + 1` queries; [`MechanismError::InvalidEpsilon`] when the rate is
+    /// too small for the lattice (`e^{-rate·γ}` rounds to 1).
     pub(crate) fn run_core<P: DrawProvider>(
         &self,
         answers: &[f64],
@@ -114,8 +123,9 @@ impl DiscreteNoisyTopKWithGap {
     ) -> Result<(), MechanismError> {
         crate::answers::require_min_len(answers, self.k + 1)?;
         self.validate_lattice(answers);
+        let noise = discrete_noise(self.epsilon, self.unit_epsilon(), self.gamma)?;
         provider.begin();
-        provider.discrete_fill_offset(answers, self.unit_epsilon(), self.gamma, &mut scratch.noisy);
+        provider.fill(answers, Noise::DiscreteLaplace(noise), &mut scratch.noisy);
         provider.select_top(&scratch.noisy, self.k + 1, &mut scratch.top);
         out.items.clear();
         out.items.extend((0..self.k).map(|i| TopKItem {
@@ -204,7 +214,12 @@ mod tests {
     fn validation() {
         assert!(DiscreteNoisyTopKWithGap::new(0, 1.0, true).is_err());
         assert!(DiscreteNoisyTopKWithGap::new(1, 0.0, true).is_err());
-        assert!(DiscreteNoisyTopKWithGap::with_gamma(1, 1.0, true, 0.0).is_err());
+        for gamma in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                DiscreteNoisyTopKWithGap::with_gamma(1, 1.0, true, gamma),
+                Err(MechanismError::InvalidParameter { name: "gamma", .. })
+            ));
+        }
     }
 
     #[test]
@@ -232,6 +247,13 @@ mod tests {
         // …while a machine-epsilon lattice is negligible even at n = 10⁶.
         let fine = DiscreteNoisyTopKWithGap::with_gamma(5, 1.0, true, 2f64.powi(-52)).unwrap();
         assert!(fine.delta(1_000_000) < 1e-3);
+        // The lattice is too fine to sample at this rate (e^{-rate·γ}
+        // rounds to 1): a call is a typed error, not a panic.
+        let answers = QueryAnswers::counting(vec![0.0; 8]);
+        assert_eq!(
+            reference(&fine, &answers, &mut rng_from_seed(1)).map(|_| ()),
+            Err(MechanismError::InvalidEpsilon { value: 1.0 })
+        );
     }
 
     #[test]

@@ -15,9 +15,10 @@
 use super::top_k_scale;
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, RngDraws, SourceDraws};
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{laplace_noise, require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
 /// One selected query: its index and the noisy gap to the next-best noisy
@@ -55,6 +56,7 @@ pub struct NoisyTopKWithGap {
     k: usize,
     epsilon: f64,
     monotonic: bool,
+    noise: Laplace,
 }
 
 impl NoisyTopKWithGap {
@@ -72,10 +74,12 @@ impl NoisyTopKWithGap {
                 requirement: "k must be at least 1",
             });
         }
+        let epsilon = require_epsilon(epsilon)?;
         Ok(Self {
             k,
-            epsilon: require_epsilon(epsilon)?,
+            epsilon,
             monotonic,
+            noise: laplace_noise(epsilon, top_k_scale(k, epsilon, monotonic))?,
         })
     }
 
@@ -91,7 +95,7 @@ impl NoisyTopKWithGap {
 
     /// The per-query Laplace scale.
     pub fn scale(&self) -> f64 {
-        top_k_scale(self.k, self.epsilon, self.monotonic)
+        self.noise.scale()
     }
 
     /// Variance of each released gap: `2·Var(Lap(scale)) = 4·scale²`
@@ -102,7 +106,7 @@ impl NoisyTopKWithGap {
 
     /// The single copy of Algorithm 1, generic over the [`DrawProvider`]
     /// noise comes through: one `Lap(scale)` draw per query (batched by the
-    /// provider's [`fill_offset`](DrawProvider::fill_offset), fused with the
+    /// provider's [`fill`](DrawProvider::fill), fused with the
     /// `+ q` offset so the `n`-sized buffer is written exactly once),
     /// selection of the top `k + 1`, gap construction. Buffers live in
     /// `scratch`; the output is written into `out`, reusing its buffer.
@@ -119,7 +123,7 @@ impl NoisyTopKWithGap {
     ) -> Result<(), MechanismError> {
         crate::answers::require_min_len(answers, self.k + 1)?;
         provider.begin();
-        provider.fill_offset(answers, self.scale(), &mut scratch.noisy);
+        provider.fill(answers, Noise::Laplace(self.noise), &mut scratch.noisy);
         provider.select_top(&scratch.noisy, self.k + 1, &mut scratch.top);
         out.items.clear();
         out.items.extend((0..self.k).map(|i| TopKItem {

@@ -25,7 +25,7 @@
 
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, RngDraws};
-use crate::error::MechanismError;
+use crate::error::{laplace_noise, MechanismError};
 use crate::laplace_mech::LaplaceMechanism;
 use crate::noisy_max::{NoisyTopKWithGap, TopKOutput};
 use crate::postprocess::blue::{blue_estimates, BlueInput};
@@ -33,7 +33,7 @@ use crate::postprocess::weighted::{combine_gap_with_measurement, topk_lambda_for
 use crate::scratch::TopKScratch;
 use crate::sparse_vector::{SparseVectorWithGap, SvOutput};
 use crate::staircase_mech::StaircaseMechanism;
-use free_gap_noise::ContinuousDistribution;
+use free_gap_noise::{ContinuousDistribution, Noise};
 use rand::Rng;
 
 /// Reusable buffers for [`topk_select_measure_scratch`]: one instance per
@@ -113,8 +113,9 @@ pub fn topk_select_measure<P: DrawProvider>(
 
     // measure_split's convention: ε shared evenly across the k measurements.
     let meas_scale = measurer.scale() * truths.len().max(1) as f64;
+    let meas_noise = Noise::Laplace(laplace_noise(measurer.epsilon(), meas_scale)?);
     let mut measurements = Vec::new();
-    provider.fill_offset(&truths, meas_scale, &mut measurements);
+    provider.fill(&truths, meas_noise, &mut measurements);
 
     let c = if answers.monotonic() { 1.0 } else { 2.0 };
     let lambda = (c * (1.0 - f) / f).powi(2);
@@ -163,8 +164,7 @@ pub fn topk_select_measure_scratch<R: Rng + ?Sized>(
 /// §3.1 in place of Laplace: selection (and its free gaps) is the unchanged
 /// Laplace-noised Algorithm 1 at `ε/2`, while the direct measurements of
 /// the selected queries carry staircase noise at `ε/2` split evenly
-/// (drawn through the provider's
-/// [`staircase_fill_offset`](DrawProvider::staircase_fill_offset) shape —
+/// (drawn through the provider's [`fill`](DrawProvider::fill) shape —
 /// four uniforms per measurement). BLUE is variance-weighted, so `λ`
 /// adapts to the actual ratio `Var(selection noise)/Var(staircase noise)`
 /// instead of the fixed Laplace-vs-Laplace constants. Draw counts are
@@ -186,7 +186,7 @@ pub fn topk_select_measure_staircase<P: DrawProvider>(
 
     let noise = measurer.noise_for_batch(k)?;
     let mut measurements = Vec::new();
-    provider.staircase_fill_offset(&truths, &noise, &mut measurements);
+    provider.fill(&truths, Noise::Staircase(noise), &mut measurements);
 
     // BLUE's λ is the per-draw noise-variance ratio (selection vs
     // measurement); for Laplace-vs-Laplace it collapses to the

@@ -14,7 +14,7 @@
 //! `(1+∛(4k²))³ / ((1+∛(4k²))³ + k²)` → 80% (i.e. 20% improvement) as
 //! `k → ∞`; for monotone workloads `(1+∛(k²))³/((1+∛(k²))³+k²)` → 50%.
 
-use crate::error::MechanismError;
+use crate::error::{require_positive, MechanismError};
 
 /// Inverse-variance weighted mean of two independent unbiased estimates.
 ///
@@ -27,9 +27,7 @@ pub fn inverse_variance_combine(
     variance_b: f64,
 ) -> Result<f64, MechanismError> {
     for v in [variance_a, variance_b] {
-        if !(v.is_finite() && v > 0.0) {
-            return Err(MechanismError::InvalidEpsilon { value: v });
-        }
+        require_positive("variance", v)?;
     }
     let wa = 1.0 / variance_a;
     let wb = 1.0 / variance_b;
@@ -90,8 +88,15 @@ mod tests {
 
     #[test]
     fn validates_variances() {
-        assert!(inverse_variance_combine(0.0, 0.0, 1.0, 1.0).is_err());
-        assert!(inverse_variance_combine(0.0, 1.0, 1.0, f64::NAN).is_err());
+        for (va, vb) in [(0.0, 1.0), (1.0, f64::NAN)] {
+            assert!(matches!(
+                inverse_variance_combine(0.0, va, 1.0, vb),
+                Err(MechanismError::InvalidParameter {
+                    name: "variance",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

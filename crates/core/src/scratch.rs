@@ -67,7 +67,8 @@
 //! }
 //! ```
 
-use free_gap_noise::{BlockBuffer, DiscreteLaplace, Exponential, Gumbel, Laplace, Staircase};
+use crate::draw::{check_tuple, MAX_TUPLE};
+use free_gap_noise::{BlockBuffer, Laplace, Noise};
 use rand::Rng;
 
 /// Reusable buffers for the Noisy Top-K family's batched fast path.
@@ -94,49 +95,34 @@ impl TopKScratch {
 /// streaming paths — the state behind
 /// [`ScratchDraws`](crate::draw::ScratchDraws).
 ///
-/// SVT draws at several scales (threshold noise, per-branch query noise),
-/// and the finite-precision variants draw discrete Laplace noise at several
-/// rates — so the scratch buffers **raw uniforms** (a [`BlockBuffer`]) and
-/// derives every draw from them at serve time: continuous draws as *unit*
-/// `Lap(1)` transforms rescaled per draw (IEEE multiplication makes
-/// `unit * scale` bit-identical to drawing `Lap(scale)` directly), discrete
-/// draws as one-uniform closed-form geometric-tail inversions with the
-/// distribution's `exp`/`ln` normalization hoisted and cached per rate.
-/// Because both families serve off one tape, any interleaving of continuous
-/// and discrete draws preserves the sequential stream order. Block sizing
+/// Mechanisms draw at several scales and from several families (threshold
+/// and per-branch Laplace noise, discrete Laplace at per-slot rates,
+/// Gumbel, staircase), so the scratch buffers **raw uniforms** (a
+/// [`BlockBuffer`]) and derives every draw from them at serve time, through
+/// one `match` on the requested [`Noise`]. Laplace draws are *unit* `Lap(1)`
+/// transforms rescaled per draw (IEEE multiplication makes `unit * scale`
+/// bit-identical to drawing `Lap(scale)` directly), cached behind the
+/// buffer's transform watermark; every other family is a pure transform of
+/// the uniforms at the cursor. Because all families serve off one tape, any
+/// interleaving of them preserves the sequential stream order. Block sizing
 /// (first block from the previous run's consumption, later blocks tapered
-/// and cache-clamped) lives in [`BlockBuffer`]; this type pins the
-/// continuous distribution to unit Laplace and exposes the draw shapes the
-/// [`DrawProvider`](crate::draw::DrawProvider) contract needs: single
-/// scaled draws, whole blocks of scaled `m`-tuples, and their discrete
-/// twins.
+/// and cache-clamped) lives in [`BlockBuffer`].
 #[derive(Debug, Clone)]
 pub struct SvtScratch {
     block: BlockBuffer,
     unit: Laplace,
-    /// Scaled view of the currently peeked tuple block (rebuilt per peek,
+    /// Served view of the currently peeked tuple block (rebuilt per peek,
     /// reused across runs).
     scaled: Vec<f64>,
-    /// Cached discrete distributions keyed by `(unit_epsilon, gamma)` bits —
-    /// constructing a [`DiscreteLaplace`] costs an `exp` and an `ln`, which
-    /// the batched discrete path hoists out of the per-draw loop (a run uses
-    /// one or two rates, so a linear scan beats any map).
-    discrete_dists: Vec<((u64, u64), DiscreteLaplace)>,
-    /// Per-slot distributions of the currently peeked discrete tuple block.
-    discrete_tuple: Vec<DiscreteLaplace>,
 }
 
 impl SvtScratch {
     /// Creates an empty scratch.
-    #[allow(clippy::expect_used)]
     pub fn new() -> Self {
         Self {
             block: BlockBuffer::new(),
-            // lint:allow(panic-freedom): the constant unit scale is always a valid Laplace parameter
-            unit: Laplace::new(1.0).expect("unit scale is valid"),
+            unit: Laplace::standard(),
             scaled: Vec::new(),
-            discrete_dists: Vec::new(),
-            discrete_tuple: Vec::new(),
         }
     }
 
@@ -146,169 +132,105 @@ impl SvtScratch {
         self.block.begin();
     }
 
-    /// Next `Lap(scale)` draw (bit-identical to sampling at `scale`),
-    /// refilling the unit buffer in blocks as needed.
-    #[inline]
-    pub(crate) fn next_scaled<R: Rng + ?Sized>(&mut self, rng: &mut R, scale: f64) -> f64 {
-        self.block.next(&self.unit, rng) * scale
-    }
-
     /// Predicted draw consumption of the current run (last run's usage) —
     /// used by mechanisms to pre-size their output buffers.
     pub(crate) fn predicted_draws(&self) -> usize {
         self.block.predicted_draws()
     }
 
-    /// The buffered draws ahead of the cursor as whole scaled
-    /// `scales.len()`-tuples (slot `b` of each tuple is `Lap(scales[b])`,
-    /// bit-identical to sampling at that scale) — see
-    /// [`BlockBuffer::peek_tuples_scaled`].
+    /// Next draw from `noise`, refilling the tape in blocks as needed;
+    /// bit-identical to sampling `noise` at the same stream position.
+    /// Always inlined: every core passes a spec of known family, so the
+    /// `match` folds away at the call site.
+    #[inline(always)]
+    pub(crate) fn next<R: Rng + ?Sized>(&mut self, rng: &mut R, noise: Noise) -> f64 {
+        match noise {
+            Noise::Laplace(d) => self.block.next(&self.unit, rng) * d.scale(),
+            Noise::DiscreteLaplace(d) => self.block.next_discrete(&d, rng),
+            Noise::Gumbel(d) => self.block.next_uncached(&d, rng),
+            Noise::Exp(d) => self.block.next_uncached(&d, rng),
+            Noise::Staircase(d) => self.block.next_staircase(&d, rng),
+        }
+    }
+
+    /// The buffered draws ahead of the cursor as whole
+    /// `noises.len()`-tuples, slot `b` of each tuple drawn from `noises[b]`
+    /// in sequential order. An all-Laplace tuple is served off the cached
+    /// unit transform ([`BlockBuffer::peek_tuples_scaled`]); any other tuple
+    /// is transformed slot by slot from the raw uniforms
+    /// ([`BlockBuffer::peek_uniforms`]). Commit with
+    /// [`consume`](Self::consume).
+    ///
+    /// # Panics
+    /// As [`DrawProvider::peek`](crate::draw::DrawProvider::peek): on an
+    /// arity outside `1..=MAX_TUPLE` or a staircase slot.
     #[inline]
-    pub(crate) fn peek_tuples_scaled<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        scales: &[f64],
-    ) -> &[f64] {
-        self.block
-            .peek_tuples_scaled(&self.unit, rng, scales, &mut self.scaled);
+    pub(crate) fn peek<R: Rng + ?Sized>(&mut self, rng: &mut R, noises: &[Noise]) -> &[f64] {
+        check_tuple(noises);
+        let m = noises.len();
+        let mut scales = [0.0; MAX_TUPLE];
+        let all_laplace = noises.iter().zip(&mut scales).all(|(n, s)| match n {
+            Noise::Laplace(d) => {
+                *s = d.scale();
+                true
+            }
+            _ => false,
+        });
+        if all_laplace {
+            self.block
+                .peek_tuples_scaled(&self.unit, rng, &scales[..m], &mut self.scaled);
+        } else {
+            self.peek_slots(rng, noises);
+        }
         &self.scaled
     }
 
-    /// Advances the cursor past `draws` units previously obtained from
-    /// [`peek_tuples_scaled`](Self::peek_tuples_scaled).
+    /// The slot-by-slot transform behind [`peek`](Self::peek) for tuples
+    /// that are not all Laplace, one tuple slot (a strided column of the
+    /// slab) at a time so each column dispatches on its family once — kept
+    /// out of line so the all-Laplace hot path stays small.
+    #[inline(never)]
+    fn peek_slots<R: Rng + ?Sized>(&mut self, rng: &mut R, noises: &[Noise]) {
+        let m = noises.len();
+        let raw = self.block.peek_uniforms(rng, m);
+        self.scaled.clear();
+        self.scaled.resize(raw.len(), 0.0);
+        for (b, noise) in noises.iter().enumerate() {
+            let column = self.scaled[b..].iter_mut().step_by(m);
+            let uniforms = raw[b..].iter().step_by(m);
+            match noise {
+                Noise::DiscreteLaplace(d) => {
+                    for (v, &u) in column.zip(uniforms) {
+                        *v = d.value_from_uniform(u);
+                    }
+                }
+                _ => {
+                    for (v, u) in column.zip(uniforms) {
+                        *v = noise.from_uniforms(std::slice::from_ref(u));
+                    }
+                }
+            }
+        }
+    }
+
+    /// Advances the cursor past `draws` values (whole tuples) served by the
+    /// last [`peek`](Self::peek).
     #[inline]
     pub(crate) fn consume(&mut self, draws: usize) {
         self.block.consume(draws);
     }
 
-    /// The cached discrete Laplace for `(unit_epsilon, gamma)`, constructed
-    /// once per distinct rate and reused across draws and runs.
-    #[allow(clippy::expect_used)]
-    fn discrete_dist(
-        dists: &mut Vec<((u64, u64), DiscreteLaplace)>,
-        unit_epsilon: f64,
-        gamma: f64,
-    ) -> DiscreteLaplace {
-        let key = (unit_epsilon.to_bits(), gamma.to_bits());
-        if let Some((_, d)) = dists.iter().find(|(k, _)| *k == key) {
-            return *d;
-        }
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let d = DiscreteLaplace::new(unit_epsilon, gamma).expect("mechanism-validated rate");
-        dists.push((key, d));
-        d
-    }
-
-    /// Next discrete Laplace draw over `{kγ}` at per-unit rate
-    /// `unit_epsilon`, served from the shared raw-uniform tape (one
-    /// uniform through the closed-form tail inversion, bit-identical to
-    /// [`sample_value`](free_gap_noise::DiscreteDistribution::sample_value)
-    /// at the same stream position).
-    #[inline]
-    pub(crate) fn discrete_next<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        unit_epsilon: f64,
-        gamma: f64,
-    ) -> f64 {
-        let d = Self::discrete_dist(&mut self.discrete_dists, unit_epsilon, gamma);
-        self.block.next_discrete(&d, rng)
-    }
-
-    /// The buffered draws ahead of the cursor as whole
-    /// `unit_epsilons.len()`-tuples of discrete Laplace values (slot `b` of
-    /// each tuple at rate `unit_epsilons[b]`) — see
-    /// [`BlockBuffer::discrete_peek_tuples`]. Commit consumption with
-    /// [`consume_discrete`](Self::consume_discrete) in served values.
-    #[inline]
-    pub(crate) fn discrete_peek_tuples<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        unit_epsilons: &[f64],
-        gamma: f64,
-    ) -> &[f64] {
-        self.discrete_tuple.clear();
-        for &rate in unit_epsilons {
-            self.discrete_tuple
-                .push(Self::discrete_dist(&mut self.discrete_dists, rate, gamma));
-        }
-        self.block
-            .discrete_peek_tuples(&self.discrete_tuple, rng, &mut self.scaled);
-        &self.scaled
-    }
-
-    /// Advances the cursor past `draws` discrete values previously obtained
-    /// from [`discrete_peek_tuples`](Self::discrete_peek_tuples) (one raw
-    /// uniform each, like the continuous draws).
-    #[inline]
-    pub(crate) fn consume_discrete(&mut self, draws: usize) {
-        self.block.consume(draws);
-    }
-
-    /// Next standard-shape Gumbel(`beta`) draw, served from the shared
-    /// raw-uniform tape through the uncached transform path (the scale may
-    /// vary per draw and differs from the run's cached unit-Laplace
-    /// transform). Bit-identical to
-    /// [`Gumbel::sample`](free_gap_noise::ContinuousDistribution::sample)
-    /// at the same stream position.
-    #[inline]
-    #[allow(clippy::expect_used)]
-    pub(crate) fn gumbel_next<R: Rng + ?Sized>(&mut self, rng: &mut R, beta: f64) -> f64 {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let dist = Gumbel::new(beta).expect("mechanism-validated scale");
-        self.block.next_uncached(&dist, rng)
-    }
-
-    /// Next one-sided Exponential(`beta`) draw from the shared tape; same
-    /// serving contract as [`gumbel_next`](Self::gumbel_next).
-    #[inline]
-    #[allow(clippy::expect_used)]
-    pub(crate) fn exp_next<R: Rng + ?Sized>(&mut self, rng: &mut R, beta: f64) -> f64 {
-        // lint:allow(panic-freedom): the scale/rate was validated by the mechanism constructor; re-validation cannot fail
-        let dist = Exponential::new(beta).expect("mechanism-validated scale");
-        self.block.next_uncached(&dist, rng)
-    }
-
-    /// Next staircase draw (four tape uniforms through the four-variable
-    /// transform), bit-identical to
-    /// [`Staircase::sample`](free_gap_noise::ContinuousDistribution::sample)
-    /// at the same stream position.
-    #[inline]
-    pub(crate) fn staircase_next<R: Rng + ?Sized>(&mut self, rng: &mut R, dist: &Staircase) -> f64 {
-        self.block.next_staircase(dist, rng)
-    }
-
-    /// Fused `base[i] + staircase draw` batch over the shared tape — the
-    /// measurement shape, with the distribution constructed once by the
-    /// caller and any buffered lookahead drained first, in order.
-    pub(crate) fn staircase_fill_offset<R: Rng + ?Sized>(
+    /// Fused `base[i] + draw` batch over the shared tape, with any buffered
+    /// lookahead drained first, in order.
+    pub(crate) fn fill<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         base: &[f64],
-        dist: &Staircase,
+        noise: Noise,
         out: &mut Vec<f64>,
     ) {
         out.clear();
-        out.extend(
-            base.iter()
-                .map(|b| b + self.block.next_staircase(dist, rng)),
-        );
-    }
-
-    /// Fused `base[i] + discrete draw` batch over the shared tape — the
-    /// discrete Noisy-Max shape, with the distribution construction hoisted
-    /// out of the loop and any buffered lookahead drained first, in order.
-    pub(crate) fn discrete_fill_offset<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-        base: &[f64],
-        unit_epsilon: f64,
-        gamma: f64,
-        out: &mut Vec<f64>,
-    ) {
-        let d = Self::discrete_dist(&mut self.discrete_dists, unit_epsilon, gamma);
-        out.clear();
-        out.extend(base.iter().map(|b| b + self.block.next_discrete(&d, rng)));
+        out.extend(base.iter().map(|b| b + self.next(rng, noise)));
     }
 }
 
@@ -332,7 +254,7 @@ mod tests {
         let mut rng = rng_from_seed(3);
         scratch.begin();
         for i in 0..1000 {
-            let got = scratch.next_scaled(&mut rng, 2.5);
+            let got = scratch.next(&mut rng, Noise::Laplace(lap));
             let want = lap.sample(&mut expect_rng);
             assert_eq!(got.to_bits(), want.to_bits(), "draw {i}");
         }
@@ -346,18 +268,19 @@ mod tests {
         let mut rng = rng_from_seed(6);
         scratch.begin();
         for _ in 0..1000 {
-            scratch.next_scaled(&mut rng, 1.0);
+            scratch.next(&mut rng, Noise::Laplace(Laplace::new(1.0).unwrap()));
         }
         scratch.begin();
         assert_eq!(scratch.predicted_draws(), 1000);
     }
 
     #[test]
-    fn peek_tuples_scaled_preserves_sequential_order() {
-        // Forwarding check for the scaled tuple API: the served stream
-        // equals sequential draws at the per-slot scales. Refill/leftover
-        // edge cases live in `free_gap_noise::block`.
+    fn peek_preserves_sequential_order() {
+        // Forwarding check for the all-Laplace tuple path: the served
+        // stream equals sequential draws at the per-slot scales.
+        // Refill/leftover edge cases live in `free_gap_noise::block`.
         let scales = [3.0f64, 0.5, 7.0];
+        let noises = scales.map(|s| Noise::Laplace(Laplace::new(s).unwrap()));
         let m = scales.len();
         let mut expect_rng = rng_from_seed(21);
         let mut scratch = SvtScratch::new();
@@ -365,7 +288,7 @@ mod tests {
         scratch.begin();
         let mut tuples_seen = 0usize;
         while tuples_seen < 200 {
-            let slab = scratch.peek_tuples_scaled(&mut rng, &scales);
+            let slab = scratch.peek(&mut rng, &noises);
             assert!(slab.len() >= m && slab.len().is_multiple_of(m));
             let take = (slab.len() / m).min(2) * m;
             for tuple in slab[..take].chunks_exact(m) {

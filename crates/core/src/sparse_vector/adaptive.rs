@@ -26,9 +26,10 @@
 use super::{optimal_threshold_share, AdaptiveOutcome, AdaptiveSvOutput, Branch};
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
-use crate::error::{require_epsilon, require_fraction, MechanismError};
+use crate::error::{laplace_noise, require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
 /// Adaptive-Sparse-Vector-with-Gap (Algorithm 2).
@@ -62,7 +63,7 @@ impl AdaptiveSparseVector {
                 requirement: "k must be at least 1",
             });
         }
-        Ok(Self {
+        let mech = Self {
             k,
             epsilon: require_epsilon(epsilon)?,
             threshold,
@@ -70,20 +71,37 @@ impl AdaptiveSparseVector {
             monotonic,
             sigma_multiplier: 2.0,
             answer_limit: None,
-        })
+        };
+        mech.noise()?;
+        Ok(mech)
     }
 
     /// Overrides the budget-allocation hyperparameter `θ ∈ (0, 1)`.
     pub fn with_theta(mut self, theta: f64) -> Result<Self, MechanismError> {
         self.theta = require_fraction("theta", theta)?;
+        self.noise()?;
         Ok(self)
+    }
+
+    /// The noise of the current budget split: threshold `Lap(1/ε₀)`, then
+    /// the top and middle branches. Constructors call it to reject an ε
+    /// whose derived scales overflow; the core builds it once per run.
+    fn noise(&self) -> Result<[Laplace; 3], MechanismError> {
+        Ok([
+            laplace_noise(self.epsilon, 1.0 / self.epsilon0())?,
+            laplace_noise(self.epsilon, self.top_scale())?,
+            laplace_noise(self.epsilon, self.middle_scale())?,
+        ])
     }
 
     /// Overrides the top-branch margin, expressed in standard deviations of
     /// the top-branch noise (the paper fixes 2). Used by the σ ablation.
     pub fn with_sigma_multiplier(mut self, m: f64) -> Result<Self, MechanismError> {
         if !(m.is_finite() && m >= 0.0) {
-            return Err(MechanismError::InvalidEpsilon { value: m });
+            return Err(MechanismError::InvalidParameter {
+                name: "sigma_multiplier",
+                value: m,
+            });
         }
         self.sigma_multiplier = m;
         Ok(self)
@@ -168,22 +186,27 @@ impl AdaptiveSparseVector {
     /// adaptive budget still covers a worst-case (`ε₁`) answer and the
     /// answer limit is not reached — queries after the halt are never
     /// observed. Noise comes in whole `(ξ, η)` pair blocks
-    /// ([`DrawProvider::peek_pairs`]), iterated with `chunks_exact(2)` so
+    /// ([`DrawProvider::peek`]), iterated with `chunks_exact(2)` so
     /// the hot loop carries no per-query cursor arithmetic on blocked
     /// providers; each block's first query is pulled *before* the peek, so
     /// draw-exact providers never sample noise for a query that does not
     /// exist. Draw order (ξᵢ then ηᵢ, query by query) is identical on every
     /// provider.
+    ///
+    /// # Errors
+    /// [`MechanismError::InvalidEpsilon`] if the budget split's noise scales
+    /// overflow (the constructors already reject such an ε).
     pub(crate) fn run_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
         out: &mut AdaptiveSvOutput,
-    ) {
+    ) -> Result<(), MechanismError> {
+        let [threshold_noise, top_noise, middle_noise] = self.noise()?;
         let eps1 = self.epsilon1();
         let eps2 = self.epsilon2();
         let sigma = self.sigma();
-        let scales = [self.top_scale(), self.middle_scale()];
+        let noises = [Noise::Laplace(top_noise), Noise::Laplace(middle_noise)];
         let cap = self.answer_cap();
         // Line 16's stopping product, identical on every path.
         let budget_cap = self.epsilon * (1.0 + 1e-12);
@@ -195,7 +218,7 @@ impl AdaptiveSparseVector {
         let predicted = provider.predicted_draws();
         let capacity = (predicted / 2 + usize::from(predicted > 0))
             .min(queries.size_hint().1.unwrap_or(usize::MAX));
-        let noisy_threshold = self.threshold + provider.next(1.0 / self.epsilon0());
+        let noisy_threshold = self.threshold + provider.next(Noise::Laplace(threshold_noise));
 
         out.outcomes.clear();
         out.outcomes.reserve(capacity);
@@ -208,7 +231,7 @@ impl AdaptiveSparseVector {
             let Some(first) = queries.next() else { break };
             let mut pending = Some(first);
             let mut taken = 0usize;
-            let pairs = provider.peek_pairs(scales);
+            let pairs = provider.peek(&noises);
             for pair in pairs.chunks_exact(2) {
                 let Some(q) = pending.take().or_else(|| queries.next()) else {
                     done = true;
@@ -253,6 +276,7 @@ impl AdaptiveSparseVector {
         }
         out.spent = spent;
         out.epsilon = self.epsilon;
+        Ok(())
     }
 
     /// The lazy streaming entry: `run_core` through [`ScratchDraws`] over
@@ -264,8 +288,8 @@ impl AdaptiveSparseVector {
         rng: &mut R,
         scratch: &mut SvtScratch,
         out: &mut AdaptiveSvOutput,
-    ) {
-        self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out);
+    ) -> Result<(), MechanismError> {
+        self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out)
     }
 }
 
@@ -279,11 +303,14 @@ impl AlignedMechanism for AdaptiveSparseVector {
             spent: 0.0,
             epsilon: self.epsilon,
         };
+        #[allow(clippy::expect_used)]
         self.run_core(
             input.values().iter().copied(),
             &mut SourceDraws::new(source),
             &mut out,
-        );
+        )
+        // lint:allow(panic-freedom): the constructor validated the noise this run rebuilds; checker path, not a serving path
+        .expect("noise validated at construction");
         out
     }
 
@@ -389,7 +416,20 @@ mod tests {
         assert!(AdaptiveSparseVector::new(0, 1.0, 0.0, true).is_err());
         assert!(AdaptiveSparseVector::new(1, -1.0, 0.0, true).is_err());
         assert!(mech(1, 1.0, 0.0).with_theta(0.0).is_err());
-        assert!(mech(1, 1.0, 0.0).with_sigma_multiplier(-1.0).is_err());
+        for m in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                mech(1, 1.0, 0.0).with_sigma_multiplier(m),
+                Err(MechanismError::InvalidParameter {
+                    name: "sigma_multiplier",
+                    ..
+                })
+            ));
+        }
+        // A finite ε whose derived noise scales overflow is not a budget.
+        assert_eq!(
+            AdaptiveSparseVector::new(3, 1e-310, 5.0, false),
+            Err(MechanismError::InvalidEpsilon { value: 1e-310 })
+        );
     }
 
     #[test]

@@ -59,9 +59,10 @@
 use super::SvOutput;
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{laplace_noise, require_epsilon, MechanismError};
 use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
 /// Lyu Alg. 3 (Roth): SVT that releases `qᵢ + νᵢ` for `⊤` answers,
@@ -71,6 +72,8 @@ pub struct NoisyValueSvt {
     k: usize,
     claimed_epsilon: f64,
     threshold: f64,
+    threshold_noise: Laplace,
+    query_noise: Laplace,
 }
 
 /// Output of [`NoisyValueSvt`]: per processed query, `Some(noisy value)`
@@ -86,10 +89,15 @@ impl NoisyValueSvt {
                 requirement: "k must be at least 1",
             });
         }
+        let claimed_epsilon = require_epsilon(claimed_epsilon)?;
+        // Same budget split and noise as a correct monotone SVT.
+        let half = claimed_epsilon / 2.0;
         Ok(Self {
             k,
-            claimed_epsilon: require_epsilon(claimed_epsilon)?,
+            claimed_epsilon,
             threshold,
+            threshold_noise: laplace_noise(claimed_epsilon, 1.0 / half)?,
+            query_noise: laplace_noise(claimed_epsilon, k as f64 / half)?,
         })
     }
 
@@ -114,17 +122,15 @@ impl NoisyValueSvt {
         out: &mut NoisyValueOutput,
     ) {
         provider.begin();
-        let eps1 = self.claimed_epsilon / 2.0;
-        let eps2 = self.claimed_epsilon / 2.0;
-        let noisy_threshold = self.threshold + provider.next(1.0 / eps1);
-        let qscale = self.k as f64 / eps2;
+        let noisy_threshold = self.threshold + provider.next(Noise::Laplace(self.threshold_noise));
+        let query_noise = Noise::Laplace(self.query_noise);
         out.clear();
         let mut answered = 0usize;
         for &q in answers.values() {
             if answered == self.k {
                 break;
             }
-            let noisy = q + provider.next(qscale);
+            let noisy = q + provider.next(query_noise);
             if noisy >= noisy_threshold {
                 out.push(Some(noisy));
                 answered += 1;
@@ -204,6 +210,8 @@ pub struct UnscaledNoiseSvt {
     k: usize,
     claimed_epsilon: f64,
     threshold: f64,
+    threshold_noise: Laplace,
+    query_noise: Laplace,
 }
 
 impl UnscaledNoiseSvt {
@@ -215,10 +223,15 @@ impl UnscaledNoiseSvt {
                 requirement: "k must be at least 1",
             });
         }
+        let claimed_epsilon = require_epsilon(claimed_epsilon)?;
+        let half = claimed_epsilon / 2.0;
         Ok(Self {
             k,
-            claimed_epsilon: require_epsilon(claimed_epsilon)?,
+            claimed_epsilon,
             threshold,
+            threshold_noise: laplace_noise(claimed_epsilon, 1.0 / half)?,
+            // The bug: scale 2/ε₂ no matter how many answers the run will emit.
+            query_noise: laplace_noise(claimed_epsilon, 2.0 / half)?,
         })
     }
 
@@ -247,18 +260,15 @@ impl UnscaledNoiseSvt {
         out: &mut SvOutput,
     ) {
         provider.begin();
-        let eps1 = self.claimed_epsilon / 2.0;
-        let eps2 = self.claimed_epsilon / 2.0;
-        let noisy_threshold = self.threshold + provider.next(1.0 / eps1);
-        // The bug: scale 2/ε₂ no matter how many answers the run will emit.
-        let qscale = 2.0 / eps2;
+        let noisy_threshold = self.threshold + provider.next(Noise::Laplace(self.threshold_noise));
+        let query_noise = Noise::Laplace(self.query_noise);
         out.above.clear();
         let mut answered = 0usize;
         for &q in answers.values() {
             if answered == self.k {
                 break;
             }
-            let noisy = q + provider.next(qscale);
+            let noisy = q + provider.next(query_noise);
             if noisy >= noisy_threshold {
                 out.above.push(Some(0.0));
                 answered += 1;
@@ -326,14 +336,17 @@ impl AlignedMechanism for UnscaledNoiseSvt {
 pub struct NoQueryNoiseSvt {
     claimed_epsilon: f64,
     threshold: f64,
+    threshold_noise: Laplace,
 }
 
 impl NoQueryNoiseSvt {
     /// Creates the (broken) mechanism with its claimed budget.
     pub fn new(claimed_epsilon: f64, threshold: f64) -> Result<Self, MechanismError> {
+        let claimed_epsilon = require_epsilon(claimed_epsilon)?;
         Ok(Self {
-            claimed_epsilon: require_epsilon(claimed_epsilon)?,
+            claimed_epsilon,
             threshold,
+            threshold_noise: laplace_noise(claimed_epsilon, 1.0 / claimed_epsilon)?,
         })
     }
 
@@ -354,7 +367,7 @@ impl NoQueryNoiseSvt {
         out: &mut SvOutput,
     ) {
         provider.begin();
-        let noisy_threshold = self.threshold + provider.next(1.0 / self.claimed_epsilon);
+        let noisy_threshold = self.threshold + provider.next(Noise::Laplace(self.threshold_noise));
         out.above.clear();
         out.above.extend(answers.values().iter().map(|&q| {
             if q >= noisy_threshold {
@@ -387,6 +400,8 @@ pub struct BudgetMisallocationSvt {
     k: usize,
     claimed_epsilon: f64,
     threshold: f64,
+    threshold_noise: Laplace,
+    query_noise: Laplace,
 }
 
 impl BudgetMisallocationSvt {
@@ -398,10 +413,15 @@ impl BudgetMisallocationSvt {
                 requirement: "k must be at least 1",
             });
         }
+        let claimed_epsilon = require_epsilon(claimed_epsilon)?;
+        // The bug: the proof says Lap(1/ε₁) and Lap(k/ε₂) with
+        // ε₁ = ε₂ = ε/2; the scales below plug in the *total* ε instead.
         Ok(Self {
             k,
-            claimed_epsilon: require_epsilon(claimed_epsilon)?,
+            claimed_epsilon,
             threshold,
+            threshold_noise: laplace_noise(claimed_epsilon, 1.0 / claimed_epsilon)?,
+            query_noise: laplace_noise(claimed_epsilon, k as f64 / claimed_epsilon)?,
         })
     }
 
@@ -428,17 +448,15 @@ impl BudgetMisallocationSvt {
         out: &mut SvOutput,
     ) {
         provider.begin();
-        // The bug: the proof says Lap(1/ε₁) and Lap(k/ε₂) with
-        // ε₁ = ε₂ = ε/2; the scales below plug in the *total* ε instead.
-        let noisy_threshold = self.threshold + provider.next(1.0 / self.claimed_epsilon);
-        let qscale = self.k as f64 / self.claimed_epsilon;
+        let noisy_threshold = self.threshold + provider.next(Noise::Laplace(self.threshold_noise));
+        let query_noise = Noise::Laplace(self.query_noise);
         out.above.clear();
         let mut answered = 0usize;
         for &q in answers.values() {
             if answered == self.k {
                 break;
             }
-            let noisy = q + provider.next(qscale);
+            let noisy = q + provider.next(query_noise);
             if noisy >= noisy_threshold {
                 out.above.push(Some(0.0));
                 answered += 1;
@@ -471,14 +489,21 @@ impl BudgetMisallocationSvt {
 pub struct UnboundedCountSvt {
     claimed_epsilon: f64,
     threshold: f64,
+    threshold_noise: Laplace,
+    query_noise: Laplace,
 }
 
 impl UnboundedCountSvt {
     /// Creates the (broken) mechanism with its claimed budget.
     pub fn new(claimed_epsilon: f64, threshold: f64) -> Result<Self, MechanismError> {
+        let claimed_epsilon = require_epsilon(claimed_epsilon)?;
+        // Correct k = 1 scales; the bug is in the loop.
+        let half = claimed_epsilon / 2.0;
         Ok(Self {
-            claimed_epsilon: require_epsilon(claimed_epsilon)?,
+            claimed_epsilon,
             threshold,
+            threshold_noise: laplace_noise(claimed_epsilon, 1.0 / half)?,
+            query_noise: laplace_noise(claimed_epsilon, 2.0 / half)?,
         })
     }
 
@@ -505,15 +530,13 @@ impl UnboundedCountSvt {
         out: &mut SvOutput,
     ) {
         provider.begin();
-        let eps1 = self.claimed_epsilon / 2.0;
-        let eps2 = self.claimed_epsilon / 2.0;
-        let noisy_threshold = self.threshold + provider.next(1.0 / eps1);
-        let qscale = 2.0 / eps2;
+        let noisy_threshold = self.threshold + provider.next(Noise::Laplace(self.threshold_noise));
+        let query_noise = Noise::Laplace(self.query_noise);
         out.above.clear();
         // The bug: no `answered == k` stop — the loop runs to the end of
         // the workload no matter how many ⊤s it has already emitted.
         for &q in answers.values() {
-            let noisy = q + provider.next(qscale);
+            let noisy = q + provider.next(query_noise);
             if noisy >= noisy_threshold {
                 out.above.push(Some(0.0));
             } else {

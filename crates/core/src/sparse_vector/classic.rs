@@ -10,13 +10,14 @@
 use super::{optimal_threshold_share, SvOutput};
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
-use crate::error::{require_epsilon, require_fraction, MechanismError};
+use crate::error::{laplace_noise, require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
-/// Resumable state of one streaming SVT run: the noisy threshold, the
-/// hoisted per-query noise scale, and the `⊤`-answer count.
+/// Resumable state of one streaming SVT run: the noisy threshold and the
+/// `⊤`-answer count.
 ///
 /// Created by [`ClassicSparseVector::stream_open`] /
 /// [`SparseVectorWithGap::stream_open`](super::SparseVectorWithGap::stream_open)
@@ -29,7 +30,6 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy)]
 pub struct SvtStreamState {
     noisy_threshold: f64,
-    query_scale: f64,
     answered: usize,
     k: usize,
 }
@@ -60,6 +60,8 @@ pub struct ClassicSparseVector {
     threshold: f64,
     threshold_share: f64,
     monotonic: bool,
+    threshold_noise: Laplace,
+    query_noise: Laplace,
 }
 
 impl ClassicSparseVector {
@@ -77,19 +79,33 @@ impl ClassicSparseVector {
                 requirement: "k must be at least 1",
             });
         }
-        Ok(Self {
+        Self {
             k,
             epsilon: require_epsilon(epsilon)?,
             threshold,
             threshold_share: optimal_threshold_share(k, monotonic),
             monotonic,
-        })
+            threshold_noise: Laplace::standard(),
+            query_noise: Laplace::standard(),
+        }
+        .derive_noise()
     }
 
     /// Overrides the threshold/query budget split (`θ ∈ (0,1)` is the
     /// threshold's share).
     pub fn with_threshold_share(mut self, share: f64) -> Result<Self, MechanismError> {
         self.threshold_share = require_fraction("threshold_share", share)?;
+        self.derive_noise()
+    }
+
+    /// Derives the threshold and query noise of the current budget split
+    /// once, rejecting an ε whose derived scales overflow. Stored rather
+    /// than rebuilt per run (as the other SVT variants do) so that
+    /// [`stream_open`](Self::stream_open) cannot fail.
+    fn derive_noise(mut self) -> Result<Self, MechanismError> {
+        let c = if self.monotonic { 1.0 } else { 2.0 };
+        self.threshold_noise = laplace_noise(self.epsilon, 1.0 / self.epsilon1())?;
+        self.query_noise = laplace_noise(self.epsilon, c * self.k as f64 / self.epsilon2())?;
         Ok(self)
     }
 
@@ -120,13 +136,12 @@ impl ClassicSparseVector {
 
     /// Laplace scale of the threshold noise, `1/ε₁`.
     pub fn threshold_scale(&self) -> f64 {
-        1.0 / self.epsilon1()
+        self.threshold_noise.scale()
     }
 
     /// Laplace scale of each query's noise, `ck/ε₂`.
     pub fn query_scale(&self) -> f64 {
-        let c = if self.monotonic { 1.0 } else { 2.0 };
-        c * self.k as f64 / self.epsilon2()
+        self.query_noise.scale()
     }
 
     /// The single copy of the SVT decision loop, generic over the
@@ -171,8 +186,7 @@ impl ClassicSparseVector {
     /// [`stream_open`](Self::stream_open).
     pub(crate) fn stream_state_core<P: DrawProvider>(&self, provider: &mut P) -> SvtStreamState {
         SvtStreamState {
-            noisy_threshold: self.threshold + provider.next(self.threshold_scale()),
-            query_scale: self.query_scale(),
+            noisy_threshold: self.threshold + provider.next(Noise::Laplace(self.threshold_noise)),
             answered: 0,
             k: self.k,
         }
@@ -195,7 +209,7 @@ impl ClassicSparseVector {
         if state.is_halted() {
             return None;
         }
-        let noisy = q + provider.next(state.query_scale);
+        let noisy = q + provider.next(Noise::Laplace(self.query_noise));
         Some(if noisy >= state.noisy_threshold {
             state.answered += 1;
             Some(if release_gaps {

@@ -15,9 +15,10 @@
 use super::{optimal_threshold_share, SvOutput};
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
-use crate::error::{require_epsilon, require_fraction, MechanismError};
+use crate::error::{discrete_noise, require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_noise::{DiscreteLaplace, Noise};
 use rand::Rng;
 
 /// Sparse-Vector-with-Gap over an integer lattice with discrete Laplace
@@ -48,23 +49,41 @@ impl DiscreteSparseVectorWithGap {
         }
         let gamma = 1.0;
         let t_steps = threshold / gamma;
-        if (t_steps - t_steps.round()).abs() > 1e-9 {
-            return Err(MechanismError::InvalidEpsilon { value: threshold });
+        // NaN and ±∞ thresholds would slip through the lattice test (its
+        // comparison with a NaN distance is false), so reject them first.
+        if !threshold.is_finite() || (t_steps - t_steps.round()).abs() > 1e-9 {
+            return Err(MechanismError::InvalidParameter {
+                name: "threshold",
+                value: threshold,
+            });
         }
-        Ok(Self {
+        let mech = Self {
             k,
             epsilon: require_epsilon(epsilon)?,
             threshold,
             threshold_share: optimal_threshold_share(k, monotonic),
             monotonic,
             gamma,
-        })
+        };
+        mech.noise()?;
+        Ok(mech)
     }
 
     /// Overrides the threshold/query budget split.
     pub fn with_threshold_share(mut self, share: f64) -> Result<Self, MechanismError> {
         self.threshold_share = require_fraction("threshold_share", share)?;
+        self.noise()?;
         Ok(self)
+    }
+
+    /// The threshold and query noise of the current budget split.
+    /// Constructors call it to reject an ε whose rates are too small for
+    /// the lattice; the core builds it once per run.
+    fn noise(&self) -> Result<[DiscreteLaplace; 2], MechanismError> {
+        Ok([
+            discrete_noise(self.epsilon, self.threshold_rate(), self.gamma)?,
+            discrete_noise(self.epsilon, self.query_rate(), self.gamma)?,
+        ])
     }
 
     /// The total privacy budget `ε`.
@@ -92,7 +111,7 @@ impl DiscreteSparseVectorWithGap {
     /// [`DrawProvider`] noise comes through, shared by slices and lazy
     /// streams. Query noise comes in whole blocks of
     /// arity-1 tuples
-    /// ([`discrete_peek_tuples`](DrawProvider::discrete_peek_tuples)):
+    /// ([`peek`](DrawProvider::peek)):
     /// blocked providers serve a slab of geometric-tail draws per peek with
     /// the per-draw refill check and rate lookup amortized across the
     /// block, draw-exact providers exactly one draw — and each block's
@@ -102,12 +121,17 @@ impl DiscreteSparseVectorWithGap {
     /// Consumes `queries` lazily, writing into `out`: the stop condition is
     /// checked *before* pulling the next query, so once the `k`-th `⊤` is
     /// answered no further query is ever observed.
+    ///
+    /// # Errors
+    /// [`MechanismError::InvalidEpsilon`] if a rate is too small for the
+    /// lattice (the constructors already reject such an ε).
     pub(crate) fn run_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
         out: &mut SvOutput,
-    ) {
+    ) -> Result<(), MechanismError> {
+        let [threshold_noise, query_noise] = self.noise()?;
         provider.begin();
         let mut queries = queries.into_iter();
         // One decision per query draw: pre-size from the provider's
@@ -117,8 +141,8 @@ impl DiscreteSparseVectorWithGap {
             .predicted_draws()
             .min(queries.size_hint().1.unwrap_or(usize::MAX));
         let noisy_threshold =
-            self.threshold + provider.discrete_next(self.threshold_rate(), self.gamma);
-        let qrate = [self.query_rate()];
+            self.threshold + provider.next(Noise::DiscreteLaplace(threshold_noise));
+        let query_noise = [Noise::DiscreteLaplace(query_noise)];
         out.above.clear();
         out.above.reserve(capacity);
         let mut answered = 0usize;
@@ -129,7 +153,7 @@ impl DiscreteSparseVectorWithGap {
             let Some(first) = queries.next() else { break };
             let mut pending = Some(first);
             let mut taken = 0usize;
-            let slab = provider.discrete_peek_tuples(&qrate, self.gamma);
+            let slab = provider.peek(&query_noise);
             for &noise in slab {
                 let Some(q) = pending.take().or_else(|| queries.next()) else {
                     done = true;
@@ -156,8 +180,9 @@ impl DiscreteSparseVectorWithGap {
                     out.above.push(None);
                 }
             }
-            provider.discrete_consume(taken);
+            provider.consume(taken);
         }
+        Ok(())
     }
 
     /// The lazy streaming entry: `run_core` through [`ScratchDraws`] over
@@ -171,8 +196,8 @@ impl DiscreteSparseVectorWithGap {
         rng: &mut R,
         scratch: &mut SvtScratch,
         out: &mut SvOutput,
-    ) {
-        self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out);
+    ) -> Result<(), MechanismError> {
+        self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out)
     }
 }
 
@@ -183,11 +208,14 @@ impl AlignedMechanism for DiscreteSparseVectorWithGap {
     /// Released gaps are exact lattice multiples.
     fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
         let mut out = SvOutput { above: Vec::new() };
+        #[allow(clippy::expect_used)]
         self.run_core(
             input.values().iter().copied(),
             &mut SourceDraws::new(source),
             &mut out,
-        );
+        )
+        // lint:allow(panic-freedom): the constructor validated the noise this run rebuilds; checker path, not a serving path
+        .expect("noise validated at construction");
         out
     }
 
@@ -250,8 +278,16 @@ mod tests {
     fn validation() {
         assert!(DiscreteSparseVectorWithGap::new(0, 1.0, 50.0, true).is_err());
         assert!(DiscreteSparseVectorWithGap::new(1, 0.0, 50.0, true).is_err());
-        // threshold off the integer lattice
-        assert!(DiscreteSparseVectorWithGap::new(1, 1.0, 50.5, true).is_err());
+        // threshold off the integer lattice, or not a number at all
+        for t in [50.5, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(matches!(
+                DiscreteSparseVectorWithGap::new(1, 1.0, t, true),
+                Err(MechanismError::InvalidParameter {
+                    name: "threshold",
+                    ..
+                })
+            ));
+        }
     }
 
     #[test]

@@ -22,9 +22,10 @@
 use super::{optimal_threshold_share, Branch};
 use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
-use crate::error::{require_epsilon, require_fraction, MechanismError};
+use crate::error::{laplace_noise, require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
 use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
 /// Per-query outcome of the multi-branch mechanism.
@@ -129,20 +130,36 @@ impl MultiBranchAdaptiveSparseVector {
                 requirement: "branch count must be in 1..=16",
             });
         }
-        Ok(Self {
+        let mech = Self {
             k,
             epsilon: require_epsilon(epsilon)?,
             threshold,
             theta: optimal_threshold_share(k, monotonic),
             monotonic,
             branches,
-        })
+        };
+        mech.noise()?;
+        Ok(mech)
     }
 
     /// Overrides the budget-allocation hyperparameter `θ`.
     pub fn with_theta(mut self, theta: f64) -> Result<Self, MechanismError> {
         self.theta = require_fraction("theta", theta)?;
+        self.noise()?;
         Ok(self)
+    }
+
+    /// The noise of the current budget split: threshold `Lap(1/ε₀)`, and
+    /// branch `b`'s `Lap(branch_scale(b))` in slot `b < branches`.
+    /// Constructors call it to reject an ε whose derived scales overflow;
+    /// the core builds it once per run.
+    fn noise(&self) -> Result<(Laplace, [Noise; Self::MAX_BRANCHES]), MechanismError> {
+        let threshold = laplace_noise(self.epsilon, 1.0 / self.epsilon0())?;
+        let mut branches = [Noise::Laplace(threshold); Self::MAX_BRANCHES];
+        for (b, slot) in branches.iter_mut().enumerate().take(self.branches) {
+            *slot = Noise::Laplace(laplace_noise(self.epsilon, self.branch_scale(b))?);
+        }
+        Ok((threshold, branches))
     }
 
     /// Number of branches `m`.
@@ -195,7 +212,7 @@ impl MultiBranchAdaptiveSparseVector {
     /// Consumes `queries` lazily, pulling the next answer only while the
     /// remaining budget still covers a worst-case (`ε₁`) answer — queries
     /// after the halt are never observed. Each query consumes one whole
-    /// `m`-tuple of draws ([`DrawProvider::peek_tuples`], the `peek_pairs`
+    /// `m`-tuple of draws ([`DrawProvider::peek`], Algorithm 2's pair
     /// pattern generalized), served in blocks on buffered providers and
     /// iterated with `chunks_exact(m)`; each block's first query is pulled
     /// *before* the peek, so draw-exact providers never sample noise for a
@@ -203,23 +220,26 @@ impl MultiBranchAdaptiveSparseVector {
     /// unconditionally (data-independent draw structure); the ladder scan
     /// stops at the first winning branch. Draw order (branch `0..m` per
     /// query, query by query) is identical on every provider.
+    ///
+    /// # Errors
+    /// [`MechanismError::InvalidEpsilon`] if the budget split's noise scales
+    /// overflow (the constructors already reject such an ε).
     pub(crate) fn run_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         queries: I,
         provider: &mut P,
         out: &mut MultiBranchSvOutput,
-    ) {
+    ) -> Result<(), MechanismError> {
+        let (threshold_noise, noises) = self.noise()?;
         let m = self.branches;
         let eps1 = self.epsilon1();
         let budget_cap = self.epsilon * (1.0 + 1e-12);
         // Per-branch constants hoisted out of the loop. Stack arrays
         // (m <= MAX_BRANCHES) keep the fast path allocation-free apart from
         // the output vector.
-        let mut scales = [0.0f64; Self::MAX_BRANCHES];
         let mut margins = [0.0f64; Self::MAX_BRANCHES];
         let mut budgets = [0.0f64; Self::MAX_BRANCHES];
         for b in 0..m {
-            scales[b] = self.branch_scale(b);
             margins[b] = self.branch_margin(b);
             budgets[b] = self.branch_budget(b);
         }
@@ -231,7 +251,7 @@ impl MultiBranchAdaptiveSparseVector {
         let predicted = provider.predicted_draws();
         let capacity = (predicted / m + usize::from(predicted > 0))
             .min(queries.size_hint().1.unwrap_or(usize::MAX));
-        let noisy_threshold = self.threshold + provider.next(1.0 / self.epsilon0());
+        let noisy_threshold = self.threshold + provider.next(Noise::Laplace(threshold_noise));
         out.outcomes.clear();
         out.outcomes.reserve(capacity);
         let mut spent = self.epsilon0();
@@ -241,7 +261,7 @@ impl MultiBranchAdaptiveSparseVector {
             let Some(first) = queries.next() else { break };
             let mut pending = Some(first);
             let mut taken = 0usize;
-            let tuples = provider.peek_tuples(&scales[..m]);
+            let tuples = provider.peek(&noises[..m]);
             for tuple in tuples.chunks_exact(m) {
                 let Some(q) = pending.take().or_else(|| queries.next()) else {
                     done = true;
@@ -272,6 +292,7 @@ impl MultiBranchAdaptiveSparseVector {
         }
         out.spent = spent;
         out.epsilon = self.epsilon;
+        Ok(())
     }
 
     /// The lazy streaming entry: `run_core` through [`ScratchDraws`] over
@@ -283,8 +304,8 @@ impl MultiBranchAdaptiveSparseVector {
         rng: &mut R,
         scratch: &mut SvtScratch,
         out: &mut MultiBranchSvOutput,
-    ) {
-        self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out);
+    ) -> Result<(), MechanismError> {
+        self.run_core(queries, &mut ScratchDraws::new(scratch, rng), out)
     }
 }
 
@@ -298,11 +319,14 @@ impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
             spent: 0.0,
             epsilon: self.epsilon,
         };
+        #[allow(clippy::expect_used)]
         self.run_core(
             input.values().iter().copied(),
             &mut SourceDraws::new(source),
             &mut out,
-        );
+        )
+        // lint:allow(panic-freedom): the constructor validated the noise this run rebuilds; checker path, not a serving path
+        .expect("noise validated at construction");
         out
     }
 

@@ -19,23 +19,22 @@
 //! ## Execution paths
 //!
 //! The measurement loop exists once, generic over the
-//! [`DrawProvider`] noise comes through (the
-//! [`staircase_fill_offset`](DrawProvider::staircase_fill_offset) /
-//! [`staircase_next`](DrawProvider::staircase_next) shapes, four uniforms
-//! per draw). [`Mechanism::call`](crate::api::Mechanism::call) runs it over
-//! a query slice with the caller's provider — [`SourceDraws`](crate::draw::SourceDraws)
-//! reconstructs the staircase distribution per draw (the historical
-//! per-draw cost), [`ScratchDraws`] constructs it once per batch and serves
-//! the four uniforms per draw off the blocked raw-uniform tape —
+//! [`DrawProvider`] noise comes through (one [`Noise::Staircase`] spec per
+//! batch, drawn through [`fill`](DrawProvider::fill) /
+//! [`next`](DrawProvider::next), four uniforms per draw).
+//! [`Mechanism::call`](crate::api::Mechanism::call) runs it over a query
+//! slice with the caller's provider — every provider reuses the batch's
+//! distribution, and [`ScratchDraws`] serves the four uniforms per draw off
+//! the blocked raw-uniform tape —
 //! and [`measure_split_streaming_with_scratch_into`](StaircaseMechanism::measure_split_streaming_with_scratch_into)
 //! runs it over a lazy answer stream with an explicit batch size (the
 //! budget divisor, which a stream cannot supply). All providers are
 //! bit-identical on the same RNG stream (`tests/scratch_equivalence.rs`).
 
 use crate::draw::{DrawProvider, ScratchDraws};
-use crate::error::{require_epsilon, MechanismError};
+use crate::error::{require_epsilon, require_positive, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_noise::{ContinuousDistribution, Staircase};
+use free_gap_noise::{ContinuousDistribution, Noise, Staircase};
 use rand::Rng;
 
 /// Vector measurement with variance-optimal staircase noise.
@@ -48,10 +47,12 @@ pub struct StaircaseMechanism {
 impl StaircaseMechanism {
     /// Creates the mechanism with budget `epsilon` per sensitivity-1 query.
     pub fn new(epsilon: f64) -> Result<Self, MechanismError> {
-        Ok(Self {
+        let mech = Self {
             epsilon: require_epsilon(epsilon)?,
             sensitivity: 1.0,
-        })
+        };
+        mech.noise_for_batch(1)?;
+        Ok(mech)
     }
 
     /// The privacy budget `ε` one measurement batch costs.
@@ -61,10 +62,8 @@ impl StaircaseMechanism {
 
     /// Overrides the sensitivity `Δ`.
     pub fn with_sensitivity(mut self, sensitivity: f64) -> Result<Self, MechanismError> {
-        if !(sensitivity.is_finite() && sensitivity > 0.0) {
-            return Err(MechanismError::InvalidEpsilon { value: sensitivity });
-        }
-        self.sensitivity = sensitivity;
+        self.sensitivity = require_positive("sensitivity", sensitivity)?;
+        self.noise_for_batch(1)?;
         Ok(self)
     }
 
@@ -88,43 +87,37 @@ impl StaircaseMechanism {
     /// The single copy of the measurement loop (materialized shape):
     /// construct the batch's noise distribution once, then one staircase
     /// draw per answer in index order through the provider's batch shape.
-    #[allow(clippy::expect_used)]
+    ///
+    /// # Errors
+    /// [`MechanismError::InvalidEpsilon`] when the per-query share
+    /// `ε / answers.len()` is too small for a staircase distribution.
     pub(crate) fn measure_core<P: DrawProvider>(
         &self,
         answers: &[f64],
         provider: &mut P,
         out: &mut Vec<f64>,
-    ) {
+    ) -> Result<(), MechanismError> {
+        let noise = Noise::Staircase(self.noise_for_batch(answers.len())?);
         provider.begin();
-        let noise = self
-            .noise_for_batch(answers.len())
-            // lint:allow(panic-freedom): parameters were validated at construction; the batch distribution cannot fail
-            .expect("validated at construction");
-        provider.staircase_fill_offset(answers, &noise, out);
+        provider.fill(answers, noise, out);
+        Ok(())
     }
 
     /// The measurement loop over a lazy answer stream. `count` is the
     /// sequential-composition divisor (the batch size a materialized call
     /// reads off `answers.len()`, which a stream cannot supply up front).
-    #[allow(clippy::expect_used)]
     fn measure_streaming_core<P: DrawProvider, I: IntoIterator<Item = f64>>(
         &self,
         answers: I,
         count: usize,
         provider: &mut P,
         out: &mut Vec<f64>,
-    ) {
+    ) -> Result<(), MechanismError> {
+        let noise = Noise::Staircase(self.noise_for_batch(count)?);
         provider.begin();
-        let noise = self
-            .noise_for_batch(count)
-            // lint:allow(panic-freedom): parameters were validated at construction; the batch distribution cannot fail
-            .expect("validated at construction");
         out.clear();
-        out.extend(
-            answers
-                .into_iter()
-                .map(|a| a + provider.staircase_next(&noise)),
-        );
+        out.extend(answers.into_iter().map(|a| a + provider.next(noise)));
+        Ok(())
     }
 
     /// The lazy streaming entry: measures an answer stream through
@@ -134,6 +127,10 @@ impl StaircaseMechanism {
     /// [`Mechanism::call`](crate::api::Mechanism::call) through
     /// [`ScratchDraws`] on the same RNG stream when the stream yields
     /// `count` answers.
+    ///
+    /// # Errors
+    /// [`MechanismError::InvalidEpsilon`] when the per-query share
+    /// `ε / count` is too small for a staircase distribution.
     pub fn measure_split_streaming_with_scratch_into<
         R: Rng + ?Sized,
         I: IntoIterator<Item = f64>,
@@ -144,8 +141,8 @@ impl StaircaseMechanism {
         rng: &mut R,
         scratch: &mut SvtScratch,
         out: &mut Vec<f64>,
-    ) {
-        self.measure_streaming_core(answers, count, &mut ScratchDraws::new(scratch, rng), out);
+    ) -> Result<(), MechanismError> {
+        self.measure_streaming_core(answers, count, &mut ScratchDraws::new(scratch, rng), out)
     }
 }
 
@@ -161,10 +158,18 @@ mod tests {
     #[test]
     fn validation() {
         assert!(StaircaseMechanism::new(0.0).is_err());
-        assert!(StaircaseMechanism::new(1.0)
-            .unwrap()
-            .with_sensitivity(-1.0)
-            .is_err());
+        assert!(matches!(
+            StaircaseMechanism::new(1.0).unwrap().with_sensitivity(-1.0),
+            Err(MechanismError::InvalidParameter {
+                name: "sensitivity",
+                ..
+            })
+        ));
+        // exp(-ε) rounds to 1: no staircase exists at this budget.
+        assert!(matches!(
+            StaircaseMechanism::new(1e-17),
+            Err(MechanismError::InvalidEpsilon { .. })
+        ));
     }
 
     #[test]

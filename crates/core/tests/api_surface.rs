@@ -16,6 +16,7 @@ use free_gap_alignment::SamplingSource;
 use free_gap_core::api::{
     AnyMechanism, CallScratch, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice,
 };
+use free_gap_core::draw::ParallelDraws;
 use free_gap_core::exponential_mech::ExponentialMechanism;
 use free_gap_core::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap};
 use free_gap_core::sparse_vector::{
@@ -23,7 +24,7 @@ use free_gap_core::sparse_vector::{
     MultiBranchAdaptiveSparseVector, SparseVectorWithGap, SvOutput,
 };
 use free_gap_core::staircase_mech::StaircaseMechanism;
-use free_gap_core::{SourceDraws, SvtScratch, TopKScratch};
+use free_gap_core::{MechanismError, SourceDraws, SvtScratch, TopKScratch};
 use free_gap_noise::rng::{derive_fast_stream, derive_stream};
 
 fn values() -> Vec<f64> {
@@ -220,4 +221,54 @@ fn halted_stream_ignores_further_queries() {
     assert!(gap
         .stream_feed(&mut state, 500.0, &mut rng, &mut scratch)
         .is_none());
+}
+
+/// A finite ε can still overflow a derived noise scale (`2k/ε` at
+/// `ε = 1e-310` is `inf`). Every grid mechanism must either refuse such an
+/// ε at construction with `InvalidEpsilon`, or run every path — the
+/// reference, batched and parallel providers — to a result or a typed
+/// error without panicking.
+#[test]
+fn tiny_epsilon_is_rejected_or_runs_on_every_path() {
+    fn grid_at(eps: f64) -> Vec<Result<AnyMechanism, MechanismError>> {
+        vec![
+            NoisyTopKWithGap::new(3, eps, true).map(Into::into),
+            ClassicNoisyTopK::new(3, eps, true).map(Into::into),
+            DiscreteNoisyTopKWithGap::new(3, eps, true).map(Into::into),
+            ExponentialMechanism::new(eps, true)
+                .and_then(|m| ExponentialTopK::new(m, 3))
+                .map(Into::into),
+            StaircaseMechanism::new(eps).map(Into::into),
+            SparseVectorWithGap::new(3, eps, 60.0, true).map(Into::into),
+            ClassicSparseVector::new(3, eps, 60.0, true).map(Into::into),
+            AdaptiveSparseVector::new(3, eps, 60.0, true).map(Into::into),
+            MultiBranchAdaptiveSparseVector::new(3, eps, 60.0, true, 3).map(Into::into),
+            DiscreteSparseVectorWithGap::new(3, eps, 60.0, true).map(Into::into),
+        ]
+    }
+    let answers = values();
+    let req = QuerySlice::new(&answers);
+    for eps in [1e-310, 5e-324] {
+        for (row, mech) in grid_at(eps).into_iter().enumerate() {
+            let mech = match mech {
+                Ok(m) => m,
+                Err(e) => {
+                    assert_eq!(
+                        e,
+                        MechanismError::InvalidEpsilon { value: eps },
+                        "row {row}"
+                    );
+                    continue;
+                }
+            };
+            let mut out = MechanismOutput::new_for(&mech);
+            let mut scratch = CallScratch::new();
+            let _ = mech.call_reference(&req, &mut derive_stream(1, 0), &mut out);
+            let _ = mech.call_batched(&req, &mut derive_stream(1, 0), &mut scratch, &mut out);
+            for threads in [1, 2] {
+                let mut par = ParallelDraws::new(1, threads);
+                let _ = mech.call_par(&req, &mut par, &mut scratch, &mut out);
+            }
+        }
+    }
 }

@@ -165,9 +165,11 @@ fn assert_stream_matches(
 }
 
 /// The lazy SVT entry of a `SvOutput` mechanism over `answers`, into a
-/// reused output.
+/// reused output. `$done` finishes the call's return value: nothing for the
+/// infallible classic entries, `.unwrap()` for the discrete one (which
+/// builds its noise per run).
 macro_rules! sv_stream {
-    ($m:expr, $answers:expr) => {{
+    ($m:expr, $answers:expr $(, $done:ident)?) => {{
         let (m, answers) = (&$m, &$answers);
         let (mut scratch, mut out) = (SvtScratch::new(), SvOutput { above: Vec::new() });
         move |rng: &mut StdRng| {
@@ -176,7 +178,8 @@ macro_rules! sv_stream {
                 rng,
                 &mut scratch,
                 &mut out,
-            );
+            )
+            $(.$done())?;
             MechanismOutput::SparseVector(out.clone())
         }
     }};
@@ -241,7 +244,8 @@ fn adaptive_svt_all_four_paths_are_bit_identical() {
             rng,
             &mut scratch,
             &mut out,
-        );
+        )
+        .unwrap();
         MechanismOutput::Adaptive(out.clone())
     });
 }
@@ -260,7 +264,8 @@ fn multi_branch_all_four_paths_are_bit_identical() {
                 rng,
                 &mut scratch,
                 &mut out,
-            );
+            )
+            .unwrap();
             MechanismOutput::MultiBranch(out.clone())
         });
     }
@@ -278,7 +283,7 @@ fn discrete_svt_all_four_paths_are_bit_identical() {
     let threshold = answers.values()[30];
     let m = DiscreteSparseVectorWithGap::new(6, 0.8, threshold, true).unwrap();
     let expect = assert_providers_agree(&m, &answers, 53, 200);
-    assert_stream_matches(&expect, 53, sv_stream!(m, answers));
+    assert_stream_matches(&expect, 53, sv_stream!(m, answers, unwrap));
     // The lattice survives every path: gaps are exact multiples of γ = 1.
     for (run, out) in expect.iter().enumerate() {
         let MechanismOutput::SparseVector(sv) = out else {
@@ -306,7 +311,8 @@ fn discrete_svt_streaming_never_pulls_past_the_kth_top() {
             &mut derive_stream(59, run),
             &mut scratch,
             &mut out,
-        );
+        )
+        .unwrap();
         assert_eq!(out.answered(), k, "run {run}");
     }
 }
@@ -327,7 +333,7 @@ fn discrete_svt_streaming_finite_stream_matches_materialized() {
         assert_eq!(sv.answered(), 0);
         assert_eq!(sv.processed(), answers.len());
     }
-    assert_stream_matches(&expect, 61, sv_stream!(m, answers));
+    assert_stream_matches(&expect, 61, sv_stream!(m, answers, unwrap));
 }
 
 #[test]
@@ -371,7 +377,8 @@ fn adaptive_answer_limit_edge_cases_agree_on_every_path() {
                 rng,
                 &mut scratch,
                 &mut out,
-            );
+            )
+            .unwrap();
             MechanismOutput::Adaptive(out.clone())
         });
     }
@@ -416,7 +423,8 @@ fn adaptive_streaming_never_pulls_past_budget_exhaustion() {
             &mut derive_stream(37, run),
             &mut scratch,
             &mut out,
-        );
+        )
+        .unwrap();
         assert_eq!(a, &out, "run {run}");
     }
 }
@@ -435,7 +443,8 @@ fn adaptive_streaming_answer_limit_caps_stream_pulls() {
             &mut derive_stream(41, run),
             &mut scratch,
             &mut out,
-        );
+        )
+        .unwrap();
         assert_eq!(out.answered(), limit, "run {run}");
     }
 }
@@ -457,7 +466,8 @@ fn multi_branch_streaming_never_pulls_past_budget_exhaustion() {
             &mut derive_stream(43, run),
             &mut scratch,
             &mut out,
-        );
+        )
+        .unwrap();
         assert_eq!(mb, &out, "run {run}");
     }
 }
@@ -500,7 +510,8 @@ fn staircase_measurement_all_four_paths_are_bit_identical() {
             rng,
             &mut scratch,
             &mut out,
-        );
+        )
+        .unwrap();
         MechanismOutput::Measurements(out.clone())
     });
 }
@@ -561,7 +572,8 @@ proptest! {
         let mut out = adaptive_out();
         assert_stream_matches(&expect, seed ^ 0x14, |rng| {
             adaptive.run_streaming_with_scratch_into(
-                answers.values().iter().copied(), rng, &mut svt_scratch, &mut out);
+                answers.values().iter().copied(), rng, &mut svt_scratch, &mut out)
+                .unwrap();
             MechanismOutput::Adaptive(out.clone())
         });
 
@@ -571,14 +583,15 @@ proptest! {
         let mut out = multi_branch_out();
         assert_stream_matches(&expect, seed ^ 0x19, |rng| {
             multi.run_streaming_with_scratch_into(
-                answers.values().iter().copied(), rng, &mut svt_scratch, &mut out);
+                answers.values().iter().copied(), rng, &mut svt_scratch, &mut out)
+                .unwrap();
             MechanismOutput::MultiBranch(out.clone())
         });
 
         let disc_svt =
             DiscreteSparseVectorWithGap::new(k, 0.8, int_threshold, monotone).unwrap();
         let expect = assert_providers_agree(&disc_svt, &int_answers, seed ^ 0x16, 1);
-        assert_stream_matches(&expect, seed ^ 0x16, sv_stream!(disc_svt, int_answers));
+        assert_stream_matches(&expect, seed ^ 0x16, sv_stream!(disc_svt, int_answers, unwrap));
 
         let expo = ExponentialMechanism::new(0.8, monotone).unwrap();
         let mut topk_scratch = TopKScratch::new();
@@ -598,7 +611,8 @@ proptest! {
                 answers.len(),
                 rng,
                 &mut svt_scratch,
-                &mut measured);
+                &mut measured)
+                .unwrap();
             MechanismOutput::Measurements(measured.clone())
         });
     }

@@ -1,44 +1,36 @@
 //! R1 power-check fixture — the shipped fix. Must lint clean.
 //!
-//! Discrete draws are served from the shared raw-uniform tape, and the
+//! Every family is served from the shared raw-uniform tape, and the
 //! provider-generic core draws only through `DrawProvider` methods. The
 //! draw-exact providers (`RngDraws`, `SourceDraws`) legitimately sample
 //! directly — the rule must not fire on them.
 
 impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {
     #[inline]
-    fn next(&mut self, scale: f64) -> f64 {
-        self.scratch.next_scaled(self.rng, scale)
-    }
-
-    #[inline]
-    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
+    fn next(&mut self, noise: Noise) -> f64 {
         // Served from the shared raw-uniform tape: any buffered lookahead
         // is consumed first, so discrete and continuous draws interleave
         // without breaking the stream discipline.
-        self.scratch.discrete_next(self.rng, unit_epsilon, gamma)
+        self.scratch.next(self.rng, noise)
     }
 }
 
 impl<'a, R: Rng + ?Sized> DrawProvider for RngDraws<'a, R> {
-    fn next(&mut self, scale: f64) -> f64 {
+    fn next(&mut self, noise: Noise) -> f64 {
         // Draw-exact by design: this provider IS the raw stream.
-        Laplace::new(scale)
-            .expect("mechanism-validated scale")
-            .sample(self.rng)
+        noise.sample(self.rng)
     }
 
-    fn discrete_next(&mut self, unit_epsilon: f64, gamma: f64) -> f64 {
-        DiscreteLaplace::new(unit_epsilon, gamma)
-            .expect("mechanism-validated rate")
-            .sample_value(self.rng)
+    fn fill(&mut self, base: &[f64], noise: Noise, out: &mut Vec<f64>) {
+        out.resize(base.len(), 0.0);
+        noise.fill_into_offset(self.rng, base, out);
     }
 }
 
 /// Provider-generic core drawing exclusively through the provider.
-fn run_core<P: DrawProvider>(provider: &mut P, threshold: f64) -> f64 {
-    let rho = provider.next(1.0);
-    let eta = provider.discrete_next(0.5, 1.0);
+fn run_core<P: DrawProvider>(provider: &mut P, threshold: f64, noise: Noise) -> f64 {
+    let rho = provider.next(noise);
+    let eta = provider.next(noise);
     rho + eta + threshold
 }
 

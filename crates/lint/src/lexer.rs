@@ -4,8 +4,8 @@
 //! The container is offline, so `syn` is not an option; it also is not
 //! needed. The rules only have to distinguish *code* from comments and
 //! string literals (so a `.unwrap()` in a doc example or an error message
-//! never counts), resolve identifiers exactly (so banning `staircase` never
-//! matches `staircase_next`), and keep line numbers for `file:line`
+//! never counts), resolve identifiers exactly (so banning `draw` never
+//! matches `draws_taken`), and keep line numbers for `file:line`
 //! diagnostics. Everything structural (functions, impl headers, `#[cfg(test)]`
 //! spans) is layered on top by [`crate::scanner`].
 //!

@@ -407,7 +407,7 @@ pub struct Fixture {
 /// (or concretely possible) bug verbatim — plus the corrected twin that
 /// must lint clean (so a rule can neither under- nor over-fire without
 /// failing the power checks).
-pub const FIXTURES: [Fixture; 26] = [
+pub const FIXTURES: [Fixture; 28] = [
     Fixture {
         path: "stream_discipline_bad.rs",
         rule: Rule::StreamDiscipline,
@@ -428,6 +428,18 @@ pub const FIXTURES: [Fixture; 26] = [
     },
     Fixture {
         path: "parallel_fill_fixed.rs",
+        rule: Rule::StreamDiscipline,
+        scope: FileScope::Core,
+        expect_flagged: false,
+    },
+    Fixture {
+        path: "source_draw_bad.rs",
+        rule: Rule::StreamDiscipline,
+        scope: FileScope::Core,
+        expect_flagged: true,
+    },
+    Fixture {
+        path: "source_draw_fixed.rs",
         rule: Rule::StreamDiscipline,
         scope: FileScope::Core,
         expect_flagged: false,

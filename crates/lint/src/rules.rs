@@ -64,9 +64,10 @@ impl FileScope {
 
 /// Method names whose call inside a stream-disciplined scope bypasses the
 /// provider: raw RNG draws, direct distribution sampling, and the
-/// `NoiseSource` hooks. Identifier-exact, so `staircase` never matches
-/// `staircase_next` (the legitimate provider method).
-const R1_BANNED_CALLS: [&str; 18] = [
+/// `NoiseSource` hooks — `draw`, plus the per-family names it replaced, so
+/// a reintroduced family hook is caught too. Identifier-exact, so `draw`
+/// never matches `draws_taken`.
+const R1_BANNED_CALLS: [&str; 19] = [
     // rand::Rng surface
     "sample",
     "gen",
@@ -83,6 +84,7 @@ const R1_BANNED_CALLS: [&str; 18] = [
     "fill_values_into",
     "fill_values_into_offset",
     // dyn NoiseSource hooks
+    "draw",
     "laplace",
     "discrete_laplace",
     "gumbel",
@@ -135,10 +137,10 @@ fn is_macro_call(scoped: &[ScopedToken<'_>], i: usize) -> bool {
 
 /// A function is stream-disciplined (R1 scope) when it is generic over a
 /// draw provider, or implements one of the stream-owning providers: the
-/// blocked `ScratchDraws` tape, or the per-block `BlockSeqDraws` /
-/// `ParallelDraws` pair (whose whole contract is that every draw comes off
-/// a derived sub-stream). The draw-exact providers (`SourceDraws`,
-/// `RngDraws`) sample directly by design and are exempt.
+/// blocked `ScratchDraws` tape, or the per-block `ParallelDraws` (whose
+/// whole contract is that every draw comes off a derived sub-stream). The
+/// draw-exact providers (`SourceDraws`, `RngDraws`) sample directly by
+/// design and are exempt.
 fn r1_in_scope(ctx: &crate::scanner::Ctx) -> bool {
     let header = ctx.header.as_deref().unwrap_or("");
     if header.contains("SourceDraws") || header.contains("RngDraws") {
@@ -152,9 +154,7 @@ fn r1_in_scope(ctx: &crate::scanner::Ctx) -> bool {
         return true;
     }
     header.contains("DrawProvider")
-        && (header.contains("ScratchDraws")
-            || header.contains("BlockSeqDraws")
-            || header.contains("ParallelDraws"))
+        && (header.contains("ScratchDraws") || header.contains("ParallelDraws"))
 }
 
 /// A function is a uniform transform (R2 scope) when its name says it maps

@@ -243,46 +243,37 @@ impl BlockBuffer {
         scales: &[f64],
         out: &mut Vec<f64>,
     ) {
-        let units = self.peek_tuples(dist, rng, scales.len());
-        out.clear();
-        out.extend(units.iter().zip(scales.iter().cycle()).map(|(u, s)| u * s));
-    }
-
-    /// Discrete twin of [`peek_tuples`](Self::peek_tuples): writes whole
-    /// `dists.len()`-tuples into `out`, slot `b` of each tuple drawn from
-    /// `dists[b]` (refilling first if fewer than one tuple's worth of
-    /// uniforms is available). Each served value consumes one raw uniform;
-    /// commit consumption with [`consume`](Self::consume) in served values.
-    /// Draw order is identical to sequential
-    /// [`next_discrete`](Self::next_discrete) draws.
-    #[inline]
-    pub fn discrete_peek_tuples<R: Rng + ?Sized>(
-        &mut self,
-        dists: &[DiscreteLaplace],
-        rng: &mut R,
-        out: &mut Vec<f64>,
-    ) {
-        let m = dists.len();
-        // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
-        assert!(m >= 1, "tuple arity must be at least 1");
-        if self.cursor + m > self.raw.len() {
-            self.refill_keeping_leftover(rng, m);
-        }
-        let tuples = (self.raw.len() - self.cursor) / m;
-        let raw = &self.raw[self.cursor..self.cursor + tuples * m];
-        out.clear();
-        out.reserve(tuples * m);
-        for tuple in raw.chunks_exact(m) {
-            for (dist, &u) in dists.iter().zip(tuple) {
-                out.push(dist.value_from_uniform(u));
+        let m = scales.len();
+        let units = self.peek_tuples(dist, rng, m);
+        out.resize(units.len(), 0.0);
+        for (o, u) in out.chunks_exact_mut(m).zip(units.chunks_exact(m)) {
+            for ((o, u), s) in o.iter_mut().zip(u).zip(scales) {
+                *o = u * s;
             }
         }
     }
 
+    /// The raw uniforms ahead of the cursor, truncated to whole
+    /// `width`-uniform tuples (refilling first if fewer than one tuple is
+    /// buffered) — the hook for tuples whose slots are not all the run's
+    /// cached continuous distribution: the caller transforms each tuple
+    /// slot by slot (see [`Noise::from_uniforms`](crate::Noise::from_uniforms))
+    /// and commits the uniforms it served with [`consume`](Self::consume).
+    /// Draw order is identical to sequential per-draw serving.
+    #[inline]
+    pub fn peek_uniforms<R: Rng + ?Sized>(&mut self, rng: &mut R, width: usize) -> &[f64] {
+        // lint:allow(panic-freedom): tuple arity is a compile-time property of the mechanism core, never user input
+        assert!(width >= 1, "tuple width must be at least 1");
+        if self.cursor + width > self.raw.len() {
+            self.refill_keeping_leftover(rng, width);
+        }
+        let avail = self.raw.len() - self.cursor;
+        &self.raw[self.cursor..self.cursor + avail - avail % width]
+    }
+
     /// Advances the cursor past `draws` raw uniforms previously obtained
     /// from [`peek_tuples`](Self::peek_tuples) or
-    /// [`discrete_peek_tuples`](Self::discrete_peek_tuples) (one uniform
-    /// per served value in both families).
+    /// [`peek_uniforms`](Self::peek_uniforms).
     ///
     /// # Panics
     /// Panics if `draws` exceeds the buffered uniforms ahead of the cursor
@@ -580,31 +571,42 @@ mod tests {
     }
 
     #[test]
-    fn discrete_peek_tuples_match_sequential_draws_at_per_slot_rates() {
-        let dists = [
-            DiscreteLaplace::new(0.9, 1.0).unwrap(),
-            DiscreteLaplace::new(0.2, 1.0).unwrap(),
+    fn peek_uniforms_serve_mixed_tuples_in_sequential_order() {
+        // Per-slot families and rates (a staircase slot takes four
+        // uniforms), transformed off the raw slab: the served values must
+        // replay the sequential sampling loop.
+        let tuple = [
+            crate::Noise::DiscreteLaplace(DiscreteLaplace::new(0.9, 1.0).unwrap()),
+            crate::Noise::DiscreteLaplace(DiscreteLaplace::new(0.2, 1.0).unwrap()),
+            crate::Noise::Staircase(Staircase::new(0.8, 1.0, 0.3).unwrap()),
         ];
-        let m = dists.len();
+        let width: usize = tuple.iter().map(crate::Noise::uniforms).sum();
         let mut expect_rng = rng_from_seed(17);
         let mut block = BlockBuffer::new();
         let mut rng = rng_from_seed(17);
-        let mut out = Vec::new();
         block.begin();
-        // Odd leading continuous draw forces the discrete tuple path to
-        // carry a lone leftover uniform across a refill boundary.
+        // Odd leading continuous draw forces the tuple path to carry
+        // leftover uniforms across a refill boundary.
         let unit = Laplace::new(1.0).unwrap();
         let first = block.next(&unit, &mut rng);
         assert_eq!(first, unit.sample(&mut expect_rng));
         let mut tuples_seen = 0usize;
         while tuples_seen < 400 {
-            block.discrete_peek_tuples(&dists, &mut rng, &mut out);
-            assert!(out.len() >= m && out.len().is_multiple_of(m));
-            let take = (out.len() / m).min(3) * m;
-            for tuple in out[..take].chunks_exact(m) {
-                for (j, &v) in tuple.iter().enumerate() {
-                    let want = dists[j].sample_value(&mut expect_rng);
-                    assert_eq!(v.to_bits(), want.to_bits(), "tuple {tuples_seen} slot {j}");
+            let raw = block.peek_uniforms(&mut rng, width);
+            assert!(raw.len() >= width && raw.len().is_multiple_of(width));
+            let take = (raw.len() / width).min(3) * width;
+            for uniforms in raw[..take].chunks_exact(width) {
+                let mut u = uniforms;
+                for (j, noise) in tuple.iter().enumerate() {
+                    let (head, rest) = u.split_at(noise.uniforms());
+                    let want = noise.sample(&mut expect_rng);
+                    let got = noise.from_uniforms(head);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "tuple {tuples_seen} slot {j}"
+                    );
+                    u = rest;
                 }
                 tuples_seen += 1;
             }

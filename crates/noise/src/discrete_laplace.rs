@@ -30,6 +30,8 @@ use rand::Rng;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DiscreteLaplace {
     geometric: Geometric,
+    /// The per-unit privacy rate `ε` (`α = e^{-εγ}`).
+    epsilon: f64,
     base: f64,
     /// Hoisted `1 + α` (the CDF normalization).
     one_plus_alpha: f64,
@@ -46,6 +48,7 @@ impl DiscreteLaplace {
     pub fn new(epsilon: f64, gamma: f64) -> Result<Self, NoiseError> {
         Ok(Self::from_geometric(
             Geometric::for_budget(epsilon, gamma)?,
+            epsilon,
             gamma,
         ))
     }
@@ -59,17 +62,25 @@ impl DiscreteLaplace {
                 value: gamma,
             });
         }
-        Ok(Self::from_geometric(Geometric::new(alpha)?, gamma))
+        let geometric = Geometric::new(alpha)?;
+        Ok(Self::from_geometric(geometric, -alpha.ln() / gamma, gamma))
     }
 
-    fn from_geometric(geometric: Geometric, gamma: f64) -> Self {
+    fn from_geometric(geometric: Geometric, epsilon: f64, gamma: f64) -> Self {
         let alpha = geometric.alpha();
         Self {
             geometric,
+            epsilon,
             base: gamma,
             one_plus_alpha: 1.0 + alpha,
             neg_cdf: alpha / (1.0 + alpha),
         }
+    }
+
+    /// The per-unit privacy rate `ε` (the discrete analogue of a Laplace
+    /// scale `1/ε`).
+    pub fn epsilon(&self) -> f64 {
+        self.epsilon
     }
 
     /// The decay ratio `α = e^{-εγ}`.

@@ -27,6 +27,11 @@ impl Laplace {
         })
     }
 
+    /// The standard Laplace `Lap(1)`.
+    pub fn standard() -> Self {
+        Self { scale: 1.0 }
+    }
+
     /// Creates the Laplace mechanism noise `Lap(sensitivity / epsilon)`.
     pub fn for_budget(sensitivity: f64, epsilon: f64) -> Result<Self, NoiseError> {
         let s = require_positive("sensitivity", sensitivity)?;

@@ -23,6 +23,10 @@
 //!   zero-mean Laplace variables (Lemma 5), which drives the free
 //!   lower-confidence intervals of §6.2.
 //!
+//! [`Noise`] wraps any of the five sampled families in one `Copy` spec, so
+//! the draw interfaces above this crate take the family as a parameter of
+//! the draw instead of carrying one method per family.
+//!
 //! It also ships the supporting analysis the paper relies on:
 //!
 //! * [`block`] — the chunked noise-fill discipline ([`BlockBuffer`]): raw
@@ -69,6 +73,7 @@ pub mod laplace;
 pub mod laplace_diff;
 pub mod par;
 pub mod rng;
+pub mod spec;
 pub mod staircase;
 pub mod stats;
 pub mod tie;
@@ -82,5 +87,6 @@ pub use geometric::Geometric;
 pub use gumbel::Gumbel;
 pub use laplace::Laplace;
 pub use laplace_diff::LaplaceDiff;
+pub use spec::Noise;
 pub use staircase::Staircase;
 pub use traits::{ContinuousDistribution, DiscreteDistribution, SingleUniform};

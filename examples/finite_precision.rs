@@ -71,7 +71,7 @@ fn main() {
         let runs = 20_000;
         for run in 0..runs {
             let mut rng = derive_stream(7, run);
-            for (m, t) in lap.run(&truths, &mut rng).iter().zip(&truths) {
+            for (m, t) in lap.run(&truths, &mut rng).unwrap().iter().zip(&truths) {
                 lap_sse += (m - t) * (m - t);
             }
             stair

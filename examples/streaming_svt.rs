@@ -71,12 +71,14 @@ fn main() {
         let pulled = Cell::new(0usize);
         let stream = shard_stream(shard, stream_len).inspect(|_| pulled.set(pulled.get() + 1));
         let out = &mut adaptive_out;
-        adaptive.run_streaming_with_scratch_into(
-            stream,
-            &mut derive_stream(1042, shard),
-            &mut scratch,
-            out,
-        );
+        adaptive
+            .run_streaming_with_scratch_into(
+                stream,
+                &mut derive_stream(1042, shard),
+                &mut scratch,
+                out,
+            )
+            .unwrap();
         let top = out.answered_via(Branch::Top);
         let first_gap = out.outcomes.iter().find_map(|o| match o {
             AdaptiveOutcome::Above { gap, .. } => Some(*gap),
