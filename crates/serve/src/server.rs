@@ -24,6 +24,12 @@
 //! are closed before the request is served, releasing their unspent
 //! query-budget share exactly once (eviction and explicit close both go
 //! through map removal under the tenant lock).
+//!
+//! The tenant indexes its open sessions by the tick that last touched
+//! them. A request touches at most one session and advances the clock by
+//! one tick, so ticks are unique keys and at most one session newly
+//! expires per request: eviction pops the front of the index instead of
+//! scanning the session table, O(log S) per request for S open sessions.
 
 use crate::ledger::BudgetLedger;
 use crate::session::SvtSession;
@@ -32,7 +38,7 @@ use free_gap_core::draw::ParallelDraws;
 use free_gap_core::sparse_vector::SparseVectorWithGap;
 use free_gap_core::MechanismError;
 use free_gap_noise::rng::{derive_fast_stream, derive_stream_seed, splitmix64};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// A request against one tenant's budget.
@@ -212,6 +218,9 @@ impl Default for WorkerScratch {
 #[derive(Debug)]
 struct TenantInner {
     sessions: HashMap<u64, SvtSession>,
+    /// Open sessions by last-touch tick (tick → session id), one entry
+    /// per entry of `sessions`; the front is the stalest session.
+    idle: BTreeMap<u64, u64>,
     /// Logical clock: one tick per request for this tenant. Drives idle
     /// eviction deterministically (no wall clock).
     clock: u64,
@@ -234,7 +243,11 @@ impl Tenant {
         // See BudgetLedger::lock for the poisoning rationale; session
         // state is likewise only mutated through &mut self methods that
         // leave it consistent.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        // Every holder leaves the idle index in step with the session
+        // table, so this checks the state each request left behind.
+        debug_assert_eq!(inner.idle.len(), inner.sessions.len());
+        inner
     }
 }
 
@@ -305,6 +318,7 @@ impl QueryServer {
                 ledger,
                 inner: Mutex::new(TenantInner {
                     sessions: HashMap::new(),
+                    idle: BTreeMap::new(),
                     clock: 0,
                     seq: 0,
                     evicted: 0,
@@ -406,15 +420,21 @@ impl QueryServer {
                 inner
                     .sessions
                     .insert(*session, SvtSession::open(*svt, rng, now));
+                inner.idle.insert(now, *session);
                 MechanismResponse::SessionOpened {
                     session: *session,
                     cost,
                 }
             }
             RequestBody::Feed { session, queries } => {
+                let inner = &mut *inner;
                 let Some(open) = inner.sessions.get_mut(session) else {
                     return MechanismResponse::Rejected(RejectReason::UnknownSession);
                 };
+                // Re-key the index before `feed` overwrites the session's
+                // last-touch tick.
+                inner.idle.remove(&open.last_used());
+                inner.idle.insert(now, *session);
                 let mut decisions = Vec::new();
                 open.feed(queries, now, &mut decisions);
                 MechanismResponse::Decisions(decisions)
@@ -423,6 +443,7 @@ impl QueryServer {
                 let Some(open) = inner.sessions.remove(session) else {
                     return MechanismResponse::Rejected(RejectReason::UnknownSession);
                 };
+                inner.idle.remove(&open.last_used());
                 let released = release_session(&tenant.ledger, &open);
                 MechanismResponse::SessionClosed {
                     session: *session,
@@ -433,24 +454,18 @@ impl QueryServer {
     }
 
     /// Closes sessions idle past the horizon, crediting their unspent
-    /// share. Removal happens under the tenant lock the caller already
-    /// holds, so a session can never be released twice (eviction and
-    /// explicit close race on the same map entry).
+    /// share. The index front is the stalest session, so eviction pops
+    /// until the front is within the horizon; at most one session newly
+    /// expires per request (see the module docs). Removal happens under
+    /// the tenant lock the caller already holds, so a session can never be
+    /// released twice (eviction and explicit close race on the same map
+    /// entry).
     fn evict_idle(&self, tenant: &Tenant, inner: &mut TenantInner, now: u64) {
-        if inner.sessions.is_empty() {
-            return;
-        }
-        let mut expired: Vec<u64> = inner
-            .sessions
-            .iter()
-            .filter(|(_, s)| now.saturating_sub(s.last_used()) > self.max_idle)
-            .map(|(&id, _)| id)
-            .collect();
-        // Sorted removal keeps the ledger's float-release order — and so
-        // every subsequent borderline debit decision — independent of
-        // HashMap iteration order.
-        expired.sort_unstable();
-        for id in expired {
+        while let Some(stalest) = inner.idle.first_entry() {
+            if now.saturating_sub(*stalest.key()) <= self.max_idle {
+                break;
+            }
+            let id = stalest.remove();
             if let Some(open) = inner.sessions.remove(&id) {
                 release_session(&tenant.ledger, &open);
                 inner.evicted += 1;

@@ -5,16 +5,23 @@
 //! * an evicted session's unspent budget is released exactly once;
 //! * per-tenant responses are independent of how requests from different
 //!   tenants interleave (the sequential reference check);
-//! * the serve-bench digest is bit-identical for 1 vs 4 worker threads.
+//! * the serve-bench digest is bit-identical for 1 vs 4 worker threads,
+//!   and pinned to golden values at the CLI default seed;
+//! * idle eviction through the tick index evicts the same sessions, in
+//!   the same order, as a reference scan of the whole session table.
 
 use free_gap_core::noisy_max::NoisyTopKWithGap;
 use free_gap_core::sparse_vector::SparseVectorWithGap;
 use free_gap_core::staircase_mech::StaircaseMechanism;
+use free_gap_noise::rng::fast_rng_from_seed;
 use free_gap_serve::server::RejectReason;
 use free_gap_serve::{
     BudgetLedger, MechanismRequest, MechanismResponse, QueryServer, RequestBody, ServeBenchConfig,
     WorkerScratch,
 };
+use proptest::prelude::*;
+use rand::Rng;
+use std::collections::HashMap;
 
 /// N threads race debits of dyadic amounts (exact in binary, so sums are
 /// order-independent): the ledger's spent total must equal the exact sum
@@ -350,4 +357,396 @@ fn serve_bench_digest_depends_on_seed() {
     config.seed = 2;
     let b = free_gap_serve::bench::run(&config).unwrap();
     assert_ne!(a.digest, b.digest);
+}
+
+/// Golden digests of `repro serve-bench --quick` at the CLI's default
+/// seed, sequential and with `--par-threshold 64`. The board evicts at
+/// `max_idle = 32`, so the pin also covers the eviction order.
+#[test]
+fn serve_bench_quick_digests_are_pinned() {
+    let config = ServeBenchConfig::quick(20190412);
+    let report = free_gap_serve::bench::run(&config).unwrap();
+    assert!(report.evictions > 0, "the board evicted nothing");
+    assert_eq!(report.digest, 0xac44_ad34_f3fc_feed);
+    let mut par = config;
+    par.par_threshold = Some(64);
+    assert_eq!(
+        free_gap_serve::bench::run(&par).unwrap().digest,
+        0x58b2_e8f4_b652_ca02
+    );
+}
+
+fn send(server: &QueryServer, scratch: &mut WorkerScratch, body: RequestBody) -> MechanismResponse {
+    server.handle(&MechanismRequest { tenant: 0, body }, scratch)
+}
+
+fn feed(session: u64, queries: &[f64]) -> RequestBody {
+    RequestBody::Feed {
+        session,
+        queries: queries.to_vec(),
+    }
+}
+
+/// `max_idle = 0`: a session opened at tick t is evicted before the
+/// request at t + 1 is served, so that feed finds no session and the
+/// unanswered ε₂ share is already back. Closing the evicted id afterwards
+/// is rejected and releases nothing.
+#[test]
+fn zero_max_idle_evicts_on_the_next_tick() {
+    let server = QueryServer::new(5).with_max_idle(0);
+    server.register_tenant(0, 10.0).unwrap();
+    let svt = SparseVectorWithGap::new(3, 0.6, 0.0, true).unwrap();
+    let mut scratch = WorkerScratch::new();
+    let opened = send(
+        &server,
+        &mut scratch,
+        RequestBody::OpenSession { session: 1, svt },
+    );
+    assert!(matches!(opened, MechanismResponse::SessionOpened { .. }));
+    assert_eq!(server.open_sessions(0), Some(1));
+    assert_eq!(
+        send(&server, &mut scratch, feed(1, &[1e6])),
+        MechanismResponse::Rejected(RejectReason::UnknownSession)
+    );
+    assert_eq!(server.evictions(), 1);
+    assert_eq!(server.open_sessions(0), Some(0));
+    let expect = BudgetLedger::new(10.0).unwrap();
+    expect.try_debit(svt.epsilon()).unwrap();
+    expect.release(svt.epsilon2() * 3.0 / 3.0).unwrap();
+    let spent = server.spent(0).unwrap();
+    assert_eq!(spent.to_bits(), expect.spent().to_bits());
+    assert_eq!(
+        send(
+            &server,
+            &mut scratch,
+            RequestBody::CloseSession { session: 1 }
+        ),
+        MechanismResponse::Rejected(RejectReason::UnknownSession)
+    );
+    assert_eq!(server.spent(0).unwrap().to_bits(), spent.to_bits());
+    assert_eq!(server.evictions(), 1);
+}
+
+/// `max_idle = u64::MAX`: no session ever expires, however long it sits.
+#[test]
+fn max_u64_idle_never_evicts() {
+    let server = QueryServer::new(5).with_max_idle(u64::MAX);
+    server.register_tenant(0, 10.0).unwrap();
+    let svt = SparseVectorWithGap::new(2, 0.5, 0.0, true).unwrap();
+    let mut scratch = WorkerScratch::new();
+    for session in 0..4 {
+        let opened = send(
+            &server,
+            &mut scratch,
+            RequestBody::OpenSession { session, svt },
+        );
+        assert!(matches!(opened, MechanismResponse::SessionOpened { .. }));
+    }
+    for _ in 0..500 {
+        assert!(tick(&server, 0, &mut scratch).is_rejected());
+    }
+    assert_eq!(server.evictions(), 0);
+    assert_eq!(server.open_sessions(0), Some(4));
+    for session in 0..4 {
+        let fed = send(&server, &mut scratch, feed(session, &[-1e6]));
+        assert_eq!(fed, MechanismResponse::Decisions(vec![None]));
+    }
+}
+
+/// Re-opening an id whose session was evicted starts a fresh run: its
+/// answer count is zero again, so closing it returns the whole ε₂ share.
+#[test]
+fn reopening_an_evicted_id_gives_a_fresh_session() {
+    let server = QueryServer::new(5).with_max_idle(2);
+    server.register_tenant(0, 10.0).unwrap();
+    let svt = SparseVectorWithGap::new(2, 0.5, 0.0, true).unwrap();
+    let mut scratch = WorkerScratch::new();
+    send(
+        &server,
+        &mut scratch,
+        RequestBody::OpenSession { session: 7, svt },
+    );
+    let MechanismResponse::Decisions(decisions) = send(&server, &mut scratch, feed(7, &[1e6]))
+    else {
+        panic!("feed of an open session was rejected");
+    };
+    assert!(decisions[0].is_some(), "a far-above query went unanswered");
+    for _ in 0..3 {
+        tick(&server, 0, &mut scratch);
+    }
+    assert_eq!(server.evictions(), 1);
+    assert_eq!(
+        send(
+            &server,
+            &mut scratch,
+            RequestBody::OpenSession { session: 7, svt }
+        ),
+        MechanismResponse::SessionOpened {
+            session: 7,
+            cost: svt.epsilon()
+        }
+    );
+    assert_eq!(
+        send(
+            &server,
+            &mut scratch,
+            RequestBody::CloseSession { session: 7 }
+        ),
+        MechanismResponse::SessionClosed {
+            session: 7,
+            released: svt.epsilon2()
+        }
+    );
+}
+
+/// A feed touches the session even after the `k`-th answer halted it, so
+/// a halted session that keeps being fed is never evicted.
+#[test]
+fn feeding_a_halted_session_keeps_it_alive() {
+    let server = QueryServer::new(5).with_max_idle(2);
+    server.register_tenant(0, 10.0).unwrap();
+    let svt = SparseVectorWithGap::new(1, 0.5, 0.0, true).unwrap();
+    let mut scratch = WorkerScratch::new();
+    send(
+        &server,
+        &mut scratch,
+        RequestBody::OpenSession { session: 3, svt },
+    );
+    let MechanismResponse::Decisions(decisions) = send(&server, &mut scratch, feed(3, &[1e6]))
+    else {
+        panic!("feed of an open session was rejected");
+    };
+    assert!(decisions[0].is_some(), "a far-above query went unanswered");
+    // Each feed lands `max_idle` ticks after the previous one.
+    for _ in 0..10 {
+        tick(&server, 0, &mut scratch);
+        let fed = send(&server, &mut scratch, feed(3, &[1e6]));
+        assert_eq!(fed, MechanismResponse::Decisions(Vec::new()));
+    }
+    assert_eq!(server.evictions(), 0);
+    assert_eq!(server.open_sessions(0), Some(1));
+    assert_eq!(
+        send(
+            &server,
+            &mut scratch,
+            RequestBody::CloseSession { session: 3 }
+        ),
+        MechanismResponse::SessionClosed {
+            session: 3,
+            released: 0.0
+        }
+    );
+}
+
+/// One open session of the reference model.
+struct ModelSession {
+    svt: SparseVectorWithGap,
+    answered: usize,
+    last_used: u64,
+}
+
+impl ModelSession {
+    fn unspent(&self) -> f64 {
+        let k = self.svt.k();
+        self.svt.epsilon2() * k.saturating_sub(self.answered) as f64 / k as f64
+    }
+}
+
+/// What the reference model expects a request to answer.
+#[derive(Debug, PartialEq)]
+enum Expected {
+    Output,
+    Opened,
+    Decisions,
+    /// Closed, releasing this many ε (as bits).
+    Closed(u64),
+    UnknownSession,
+    SessionExists,
+    Budget,
+}
+
+fn observed(response: &MechanismResponse) -> Expected {
+    match response {
+        MechanismResponse::Output(_) => Expected::Output,
+        MechanismResponse::SessionOpened { .. } => Expected::Opened,
+        MechanismResponse::Decisions(_) => Expected::Decisions,
+        MechanismResponse::SessionClosed { released, .. } => Expected::Closed(released.to_bits()),
+        MechanismResponse::Rejected(RejectReason::UnknownSession) => Expected::UnknownSession,
+        MechanismResponse::Rejected(RejectReason::SessionExists) => Expected::SessionExists,
+        MechanismResponse::Rejected(RejectReason::Budget(_)) => Expected::Budget,
+        other => panic!("unexpected response {other:?}"),
+    }
+}
+
+/// One tenant served the way the server did before its tick index: a
+/// map from session id to last touch, and before every request a scan of
+/// the whole map for `now - last_used > max_idle`, evicted in id order.
+/// It keeps its own ledger, so ε flows compare to the bit.
+struct ScanModel {
+    max_idle: u64,
+    clock: u64,
+    ledger: BudgetLedger,
+    sessions: HashMap<u64, ModelSession>,
+}
+
+impl ScanModel {
+    fn new(total: f64, max_idle: u64) -> Self {
+        Self {
+            max_idle,
+            clock: 0,
+            ledger: BudgetLedger::new(total).unwrap(),
+            sessions: HashMap::new(),
+        }
+    }
+
+    fn release(&self, session: &ModelSession) -> f64 {
+        let unspent = session.unspent();
+        if unspent > 0.0 {
+            self.ledger.release(unspent).unwrap();
+        }
+        unspent
+    }
+
+    /// Advances the clock and evicts idle sessions; returns how many.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        let now = self.clock;
+        let mut expired: Vec<u64> = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| now.saturating_sub(s.last_used) > self.max_idle)
+            .map(|(&id, _)| id)
+            .collect();
+        expired.sort_unstable();
+        for id in &expired {
+            let session = self.sessions.remove(id).unwrap();
+            self.release(&session);
+        }
+        expired.len() as u64
+    }
+
+    /// Serves `body` after [`tick`](Self::tick). Decisions are noise, so
+    /// a feed takes its answer count from the server's `response`.
+    fn serve(&mut self, body: &RequestBody, response: &MechanismResponse) -> Expected {
+        let now = self.clock;
+        match body {
+            RequestBody::Call { mechanism, .. } => {
+                match self
+                    .ledger
+                    .try_debit(free_gap_core::Mechanism::cost(mechanism))
+                {
+                    Ok(()) => Expected::Output,
+                    Err(_) => Expected::Budget,
+                }
+            }
+            RequestBody::OpenSession { session, svt } => {
+                if self.sessions.contains_key(session) {
+                    return Expected::SessionExists;
+                }
+                if self.ledger.try_debit(svt.epsilon()).is_err() {
+                    return Expected::Budget;
+                }
+                let open = ModelSession {
+                    svt: *svt,
+                    answered: 0,
+                    last_used: now,
+                };
+                self.sessions.insert(*session, open);
+                Expected::Opened
+            }
+            RequestBody::Feed { session, .. } => {
+                let Some(open) = self.sessions.get_mut(session) else {
+                    return Expected::UnknownSession;
+                };
+                open.last_used = now;
+                if let MechanismResponse::Decisions(decisions) = response {
+                    open.answered += decisions.iter().filter(|d| d.is_some()).count();
+                }
+                Expected::Decisions
+            }
+            RequestBody::CloseSession { session } => match self.sessions.remove(session) {
+                Some(open) => Expected::Closed(self.release(&open).to_bits()),
+                None => Expected::UnknownSession,
+            },
+        }
+    }
+}
+
+/// A random request over session ids `0..8`: opens, feeds (far above,
+/// far below and near the threshold), closes, feeds of an id that is
+/// never opened, and one-shot calls.
+fn random_request(rng: &mut impl Rng) -> RequestBody {
+    let session = rng.gen_range(0..8u64);
+    match rng.gen_range(0..20u32) {
+        0..=4 => {
+            let epsilon = if rng.gen_bool(0.5) { 0.5 } else { 1.0 };
+            let svt = SparseVectorWithGap::new(rng.gen_range(1..4), epsilon, 0.0, true).unwrap();
+            RequestBody::OpenSession { session, svt }
+        }
+        5..=11 => {
+            let queries = (0..rng.gen_range(0..4))
+                .map(|_| match rng.gen_range(0..3u32) {
+                    0 => 1e6,
+                    1 => -1e6,
+                    _ => rng.gen_range(-3.0..3.0),
+                })
+                .collect();
+            RequestBody::Feed { session, queries }
+        }
+        12..=14 => RequestBody::CloseSession { session },
+        15..=16 => feed(u64::MAX, &[0.0]),
+        _ => RequestBody::Call {
+            mechanism: NoisyTopKWithGap::new(2, 0.25, true).unwrap().into(),
+            queries: vec![3.0, 1.0, 2.0, 0.5],
+        },
+    }
+}
+
+const MAX_IDLES: [u64; 6] = [0, 1, 2, 32, 64, u64::MAX];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The tick index evicts exactly what the whole-table scan evicted, in
+    /// the same order: after every request the open-session count, the
+    /// eviction count, the response kind (including unknown-session
+    /// rejections and released ε) and the bits of the tenant's spent ε
+    /// all match the reference model.
+    #[test]
+    fn tick_index_matches_the_reference_scan(
+        script_seed in 0u64..1_000_000,
+        len in 1usize..201,
+        idle in 0usize..MAX_IDLES.len(),
+    ) {
+        let max_idle = MAX_IDLES[idle];
+        let server = QueryServer::new(script_seed).with_max_idle(max_idle);
+        server.register_tenant(0, 6.0).unwrap();
+        let mut model = ScanModel::new(6.0, max_idle);
+        let mut rng = fast_rng_from_seed(script_seed);
+        let mut scratch = WorkerScratch::new();
+        let mut evictions = 0;
+        for step in 0..len {
+            let body = random_request(&mut rng);
+            let response = send(&server, &mut scratch, body.clone());
+            let evicted = model.tick();
+            let expected = model.serve(&body, &response);
+            let server_state = (
+                observed(&response),
+                server.evictions() - evictions,
+                server.open_sessions(0),
+                server.spent(0).unwrap().to_bits(),
+            );
+            let model_state = (
+                expected,
+                evicted,
+                Some(model.sessions.len()),
+                model.ledger.spent().to_bits(),
+            );
+            prop_assert!(
+                server_state == model_state,
+                "step {step} ({body:?}): server {server_state:?}, model {model_state:?}"
+            );
+            evictions = server.evictions();
+        }
+    }
 }
