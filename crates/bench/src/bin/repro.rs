@@ -84,10 +84,6 @@
 //!   --qps F            `serve-bench`: aggregate request-rate target the
 //!                      workers pace themselves to (default: unpaced
 //!                      closed loop)
-//!   --par-threshold N  `serve-bench`: serve one-shot calls with at least
-//!                      N queries through the intra-run parallel noise
-//!                      path (default: off; changes the noise stream, so
-//!                      digests are only comparable at the same setting)
 //!   --rule NAME        `lint`: check a single rule (stream-discipline |
 //!                      endpoint-guard | panic-freedom | taxonomy |
 //!                      budget-balance | lock-discipline | par-purity |
@@ -141,9 +137,6 @@ struct CliOptions {
     duration: Option<f64>,
     /// `serve-bench`: aggregate request-rate target (`--qps`).
     qps: Option<f64>,
-    /// `serve-bench`: parallel-path opt-in query-count threshold
-    /// (`--par-threshold`).
-    par_threshold: Option<usize>,
     /// `lint`: restrict to a single named rule (`--rule`).
     lint_rule: Option<String>,
     /// `lint`: run the fixture power checks instead of the tree (`--fixtures`).
@@ -181,7 +174,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         tenants: None,
         duration: None,
         qps: None,
-        par_threshold: None,
         lint_rule: None,
         fixtures: false,
         workload_flags: Vec::new(),
@@ -298,14 +290,6 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                 }
                 opts.qps = Some(qps);
             }
-            "--par-threshold" => {
-                // 0 is meaningful (every call takes the parallel path), so
-                // only a non-numeric value is rejected.
-                let threshold: usize = value("--par-threshold")?
-                    .parse()
-                    .map_err(|e| format!("--par-threshold: {e}"))?;
-                opts.par_threshold = Some(threshold);
-            }
             "--rule" => opts.lint_rule = Some(value("--rule")?),
             "--fixtures" => opts.fixtures = true,
             other if !other.starts_with('-') => opts.files.push(other.to_string()),
@@ -403,12 +387,6 @@ fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
             opts.command
         ));
     }
-    if opts.par_threshold.is_some() && opts.command != "serve-bench" {
-        return Err(format!(
-            "--par-threshold only applies to `serve-bench`, not `{}`",
-            opts.command
-        ));
-    }
     if opts.lint_rule.is_some() && opts.command != "lint" {
         return Err(format!(
             "--rule only applies to `lint`, not `{}`",
@@ -471,7 +449,7 @@ fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
             // reject options it would silently ignore.
             if let Some(flag) = opts.workload_flags.first() {
                 return Err(format!(
-                    "`serve-bench` scripts a fixed per-tenant workload; {flag} is not supported (only --tenants, --duration, --qps, --par-threshold, --quick, --seed, --csv, --json apply)"
+                    "`serve-bench` scripts a fixed per-tenant workload; {flag} is not supported (only --tenants, --duration, --qps, --quick, --seed, --csv, --json apply)"
                 ));
             }
             if opts.runs.is_some() {
@@ -490,7 +468,6 @@ fn run_command(opts: &CliOptions) -> Result<Vec<Table>, String> {
             }
             cfg.duration_cap_secs = opts.duration;
             cfg.qps = opts.qps;
-            cfg.par_threshold = opts.par_threshold;
             let report =
                 free_gap_serve::bench::run(&cfg).map_err(|e| format!("serve-bench: {e}"))?;
             // serve-bench writes its own schema; default to its own file
@@ -930,7 +907,7 @@ fn main() -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("usage: repro <bench|serve-bench|bench-check|bench-compare|bench-history FILE..|attack|lint|datasets|fig1a|fig1b|fig2a|fig2b|fig3|fig4|ablation-theta|ablation-sigma|ablation-split|ablation-branches|all> [--runs N] [--scale F] [--seed N] [--eps F] [--dataset NAME] [--budget F] [--csv] [--json PATH] [--baseline PATH] [--tolerance F] [--baseline-only] [--trials N] [--significance F] [--quick] [--tenants N] [--duration F] [--qps F] [--par-threshold N] [--rule NAME] [--fixtures]");
+            eprintln!("usage: repro <bench|serve-bench|bench-check|bench-compare|bench-history FILE..|attack|lint|datasets|fig1a|fig1b|fig2a|fig2b|fig3|fig4|ablation-theta|ablation-sigma|ablation-split|ablation-branches|all> [--runs N] [--scale F] [--seed N] [--eps F] [--dataset NAME] [--budget F] [--csv] [--json PATH] [--baseline PATH] [--tolerance F] [--baseline-only] [--trials N] [--significance F] [--quick] [--tenants N] [--duration F] [--qps F] [--rule NAME] [--fixtures]");
             return ExitCode::FAILURE;
         }
     };
@@ -1029,8 +1006,6 @@ mod tests {
             "2.5",
             "--qps",
             "5000",
-            "--par-threshold",
-            "32",
             "--quick",
             "--seed",
             "9",
@@ -1040,7 +1015,6 @@ mod tests {
         assert_eq!(opts.tenants, Some(16));
         assert_eq!(opts.duration, Some(2.5));
         assert_eq!(opts.qps, Some(5000.0));
-        assert_eq!(opts.par_threshold, Some(32));
         assert!(opts.quick);
         assert_eq!(opts.seed, 9);
     }
@@ -1052,10 +1026,6 @@ mod tests {
         assert!(parse_args(&args(&["serve-bench", "--duration", "nan"])).is_err());
         assert!(parse_args(&args(&["serve-bench", "--qps", "-5"])).is_err());
         assert!(parse_args(&args(&["serve-bench", "--qps", "inf"])).is_err());
-        assert!(parse_args(&args(&["serve-bench", "--par-threshold", "x"])).is_err());
-        // 0 means "every call": valid.
-        let opts = parse_args(&args(&["serve-bench", "--par-threshold", "0"])).unwrap();
-        assert_eq!(opts.par_threshold, Some(0));
     }
 
     #[test]
@@ -1065,7 +1035,6 @@ mod tests {
             vec!["bench", "--duration", "1.0"],
             vec!["attack", "--qps", "100"],
             vec!["all", "--tenants", "2"],
-            vec!["bench", "--par-threshold", "64"],
         ] {
             let opts = parse_args(&args(&flags)).unwrap();
             let err = run_command(&opts).unwrap_err();

@@ -8,7 +8,7 @@
 use crate::error::MechanismError;
 
 /// A sequential-composition privacy accountant for pure ε-DP.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivacyBudget {
     total: f64,
     spent: f64,
@@ -44,18 +44,13 @@ impl PrivacyBudget {
         self.remaining() / self.total
     }
 
-    /// Records a spend of `epsilon`, failing if it would exceed the total.
+    /// Records a spend of `epsilon`, or rejects it: on `Ok` exactly
+    /// `epsilon` was deducted; on `Err` the accountant is unchanged. A
+    /// serving tenant runs this under its lock so concurrent requests can
+    /// never jointly oversubscribe the total.
     ///
     /// A tiny relative slack (1e-12) absorbs floating-point drift when
     /// callers split a budget into shares that sum exactly to the total.
-    pub fn spend(&mut self, epsilon: f64) -> Result<(), MechanismError> {
-        self.try_debit(epsilon)
-    }
-
-    /// The debit-or-reject primitive behind [`spend`](Self::spend): on
-    /// `Ok` exactly `epsilon` was deducted; on `Err` the accountant is
-    /// unchanged. A serving ledger holds this under a lock so concurrent
-    /// requests can never jointly oversubscribe the total.
     ///
     /// # Errors
     /// [`MechanismError::InvalidEpsilon`] for non-positive or non-finite
@@ -103,14 +98,6 @@ impl PrivacyBudget {
         Ok(())
     }
 
-    /// True when at least `epsilon` is still available (with the same slack
-    /// as [`spend`](Self::spend)).
-    pub fn can_spend(&self, epsilon: f64) -> bool {
-        epsilon.is_finite()
-            && epsilon > 0.0
-            && self.spent + epsilon <= self.total + 1e-12 * self.total
-    }
-
     /// Splits the *remaining* budget into `fractions` (which must sum to at
     /// most 1) and returns the corresponding ε shares without spending them.
     ///
@@ -147,8 +134,8 @@ mod tests {
     fn spend_and_remaining() {
         let mut b = PrivacyBudget::new(1.0).unwrap();
         assert_eq!(b.remaining(), 1.0);
-        b.spend(0.3).unwrap();
-        b.spend(0.3).unwrap();
+        b.try_debit(0.3).unwrap();
+        b.try_debit(0.3).unwrap();
         assert!((b.spent() - 0.6).abs() < 1e-15);
         assert!((b.remaining() - 0.4).abs() < 1e-15);
         assert!((b.remaining_fraction() - 0.4).abs() < 1e-15);
@@ -157,8 +144,8 @@ mod tests {
     #[test]
     fn overspend_rejected() {
         let mut b = PrivacyBudget::new(0.5).unwrap();
-        b.spend(0.4).unwrap();
-        let err = b.spend(0.2).unwrap_err();
+        b.try_debit(0.4).unwrap();
+        let err = b.try_debit(0.2).unwrap_err();
         assert!(matches!(err, MechanismError::BudgetExhausted { .. }));
         // The failed spend must not change state.
         assert!((b.spent() - 0.4).abs() < 1e-15);
@@ -169,10 +156,10 @@ mod tests {
         let mut b = PrivacyBudget::new(1.0).unwrap();
         // Ten shares of 0.1 accumulate float error; the slack must absorb it.
         for _ in 0..10 {
-            b.spend(0.1).unwrap();
+            b.try_debit(0.1).unwrap();
         }
         assert!(b.remaining() < 1e-12);
-        assert!(!b.can_spend(0.01));
+        assert!(b.try_debit(0.01).is_err());
     }
 
     #[test]
@@ -193,19 +180,29 @@ mod tests {
     }
 
     #[test]
-    fn can_spend_matches_spend() {
+    fn try_debit_fits_exactly_the_remainder() {
         let mut b = PrivacyBudget::new(1.0).unwrap();
-        b.spend(0.75).unwrap();
-        assert!(b.can_spend(0.25));
-        assert!(!b.can_spend(0.26));
-        assert!(!b.can_spend(-1.0));
-        assert!(!b.can_spend(f64::NAN));
+        b.try_debit(0.75).unwrap();
+        // Each probe runs on a copy, so one accepted debit cannot hide the
+        // verdict on the next.
+        for (amount, fits) in [
+            (0.25, true),
+            (0.26, false),
+            (-1.0, false),
+            (f64::NAN, false),
+        ] {
+            let mut probe = b;
+            assert_eq!(probe.try_debit(amount).is_ok(), fits, "debit of {amount}");
+            if !fits {
+                assert_eq!(probe, b, "rejected debit of {amount} mutated state");
+            }
+        }
     }
 
     #[test]
     fn split_scales_remaining() {
         let mut b = PrivacyBudget::new(2.0).unwrap();
-        b.spend(1.0).unwrap();
+        b.try_debit(1.0).unwrap();
         let shares = b.split(&[0.5, 0.5]).unwrap();
         assert_eq!(shares, vec![0.5, 0.5]);
     }
@@ -271,7 +268,7 @@ mod tests {
         assert!((b.remaining() - 0.65).abs() < 1e-12);
         // The freed budget is spendable again.
         b.try_debit(0.65).unwrap();
-        assert!(!b.can_spend(0.01));
+        assert!(b.try_debit(0.01).is_err());
     }
 
     #[test]

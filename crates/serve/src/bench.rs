@@ -33,8 +33,7 @@
 //!
 //! A single flat JSON object, schema `free-gap-serve/bench/v1`:
 //! configuration echo (`seed`, `tenants`, `workers`,
-//! `requests_per_tenant`, `epsilon_per_tenant`, `par_threshold` — `null`
-//! when the parallel path is off), outcome counts
+//! `requests_per_tenant`, `epsilon_per_tenant`), outcome counts
 //! (`completed`, `rejected`, `budget_rejected`, `evictions`), the latency
 //! quantiles in microseconds (`p50_us`/`p95_us`/`p99_us`), wall-clock
 //! `elapsed_secs` with `requests_per_sec`, and the reproducibility
@@ -79,12 +78,6 @@ pub struct ServeBenchConfig {
     /// themselves to `qps / workers` each. Affects timing only, never the
     /// per-tenant request order or digest.
     pub qps: Option<f64>,
-    /// Optional opt-in (`--par-threshold`) to the server's intra-run
-    /// parallel call path for one-shot calls with at least this many
-    /// queries (see [`QueryServer::with_par_threshold`]). Changes the
-    /// noise stream those calls draw, so the digest is only comparable
-    /// between runs with the same setting.
-    pub par_threshold: Option<usize>,
 }
 
 impl ServeBenchConfig {
@@ -110,7 +103,6 @@ impl ServeBenchConfig {
             epsilon_per_tenant: 0.45 * requests_per_tenant as f64,
             duration_cap_secs: None,
             qps: None,
-            par_threshold: None,
         }
     }
 
@@ -394,10 +386,7 @@ pub fn run(config: &ServeBenchConfig) -> Result<ServeBenchReport, free_gap_core:
     let session_svt = SparseVectorWithGap::new(3, 0.5, threshold, true)?;
     // 32 idle ticks: leaked sessions (every 4th block) get evicted a few
     // blocks later, well within even the --quick script.
-    let mut server = QueryServer::new(config.seed).with_max_idle(32);
-    if let Some(n) = config.par_threshold {
-        server = server.with_par_threshold(n);
-    }
+    let server = QueryServer::new(config.seed).with_max_idle(32);
     for t in 0..config.tenants as u64 {
         server.register_tenant(t, config.epsilon_per_tenant)?;
     }
@@ -461,14 +450,10 @@ pub fn run(config: &ServeBenchConfig) -> Result<ServeBenchReport, free_gap_core:
 
 /// Serializes a report to the `BENCH_serve.json` schema.
 pub fn to_json(config: &ServeBenchConfig, report: &ServeBenchReport) -> String {
-    let par_threshold = config
-        .par_threshold
-        .map_or_else(|| "null".to_owned(), |n| n.to_string());
     format!(
         "{{\n  \"schema\": \"free-gap-serve/bench/v1\",\n  \
          \"seed\": {},\n  \"tenants\": {},\n  \"workers\": {},\n  \
          \"requests_per_tenant\": {},\n  \"epsilon_per_tenant\": {:.3},\n  \
-         \"par_threshold\": {},\n  \
          \"planned\": {},\n  \"completed\": {},\n  \"rejected\": {},\n  \
          \"budget_rejected\": {},\n  \"evictions\": {},\n  \
          \"latency_us\": {{ \"p50\": {:.2}, \"p95\": {:.2}, \"p99\": {:.2} }},\n  \
@@ -479,7 +464,6 @@ pub fn to_json(config: &ServeBenchConfig, report: &ServeBenchReport) -> String {
         config.workers,
         config.requests_per_tenant,
         config.epsilon_per_tenant,
-        par_threshold,
         report.planned,
         report.completed,
         report.rejected,
@@ -618,31 +602,12 @@ mod tests {
             epsilon_per_tenant: 0.45 * 26.0,
             duration_cap_secs: None,
             qps: None,
-            par_threshold: None,
         };
         let wide = run(&base).unwrap();
         assert_eq!(wide.completed, base.planned_requests());
         let narrow = run(&ServeBenchConfig { workers: 1, ..base }).unwrap();
         assert_eq!(wide.digest, narrow.digest);
         assert_eq!(wide.completed, narrow.completed);
-    }
-
-    #[test]
-    fn par_threshold_runs_clean_and_deterministic() {
-        let base = ServeBenchConfig {
-            seed: 11,
-            tenants: 2,
-            workers: 2,
-            requests_per_tenant: 26,
-            epsilon_per_tenant: 0.45 * 26.0,
-            duration_cap_secs: None,
-            qps: None,
-            par_threshold: Some(1),
-        };
-        let a = run(&base).unwrap();
-        assert_eq!(a.completed, base.planned_requests());
-        let b = run(&base).unwrap();
-        assert_eq!(a.digest, b.digest);
     }
 
     #[test]
@@ -664,13 +629,7 @@ mod tests {
         };
         let json = to_json(&config, &report);
         assert!(json.contains("\"schema\": \"free-gap-serve/bench/v1\""));
-        assert!(json.contains("\"par_threshold\": null"));
         assert!(json.contains("\"budget_rejected\": 400"));
-        let par_config = ServeBenchConfig {
-            par_threshold: Some(32),
-            ..config
-        };
-        assert!(to_json(&par_config, &report).contains("\"par_threshold\": 32"));
         assert!(json.contains("\"p99\": 99.90"));
         assert!(json.contains("\"digest\": \"0x00000000deadbeef\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -1,19 +1,23 @@
-//! Per-tenant privacy-budget ledger: a [`PrivacyBudget`] behind a mutex,
-//! so the debit-or-reject decision is atomic under concurrent requests.
+//! Per-tenant privacy-budget ledger: a [`PrivacyBudget`] a serving tenant
+//! debits and credits through a shared reference.
 //!
-//! The invariant the server leans on: at every instant,
-//! `spent ≤ total (+ the accountant's 1e-12 relative slack)` — no
-//! interleaving of concurrent debits can jointly oversubscribe a tenant's
-//! ε, because each debit checks and mutates under the same lock
-//! (`tests/serve.rs` races this).
+//! The ledger is not thread-safe on its own. The server keeps each
+//! tenant's ledger inside the tenant state, behind the one tenant lock,
+//! so every debit, refund and session release is serialized with the
+//! session table it accounts for. The invariant the server leans on: at
+//! every instant, `spent ≤ total (+ the accountant's 1e-12 relative
+//! slack)` — no interleaving of concurrent requests can jointly
+//! oversubscribe a tenant's ε, because each debit checks and mutates
+//! under that lock (`tests/serve.rs` races this through
+//! `QueryServer::handle`).
 
 use free_gap_core::{MechanismError, PrivacyBudget};
-use std::sync::{Mutex, PoisonError};
+use std::cell::Cell;
 
-/// Thread-safe budget accountant for one tenant.
+/// Budget accountant for one tenant.
 #[derive(Debug)]
 pub struct BudgetLedger {
-    budget: Mutex<PrivacyBudget>,
+    budget: Cell<PrivacyBudget>,
 }
 
 impl BudgetLedger {
@@ -23,25 +27,20 @@ impl BudgetLedger {
     /// Rejects non-positive or non-finite totals.
     pub fn new(total: f64) -> Result<Self, MechanismError> {
         Ok(Self {
-            budget: Mutex::new(PrivacyBudget::new(total)?),
+            budget: Cell::new(PrivacyBudget::new(total)?),
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, PrivacyBudget> {
-        // A poisoned lock means another thread panicked mid-debit; the
-        // accountant itself is a plain pair of floats and is never left
-        // half-updated (try_debit/release mutate only on success), so the
-        // inner value is still consistent and serving can continue.
-        self.budget.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Atomically debits `epsilon`, or rejects without changing state.
+    /// Debits `epsilon`, or rejects without changing state.
     ///
     /// # Errors
     /// [`MechanismError::InvalidEpsilon`] for malformed requests,
     /// [`MechanismError::BudgetExhausted`] when the debit does not fit.
     pub fn try_debit(&self, epsilon: f64) -> Result<(), MechanismError> {
-        self.lock().try_debit(epsilon)
+        let mut budget = self.budget.get();
+        budget.try_debit(epsilon)?;
+        self.budget.set(budget);
+        Ok(())
     }
 
     /// Returns previously debited budget (refunds a failed call, or an
@@ -50,22 +49,25 @@ impl BudgetLedger {
     /// # Errors
     /// As [`PrivacyBudget::release`].
     pub fn release(&self, epsilon: f64) -> Result<(), MechanismError> {
-        self.lock().release(epsilon)
+        let mut budget = self.budget.get();
+        budget.release(epsilon)?;
+        self.budget.set(budget);
+        Ok(())
     }
 
     /// Budget still available.
     pub fn remaining(&self) -> f64 {
-        self.lock().remaining()
+        self.budget.get().remaining()
     }
 
     /// Budget consumed so far.
     pub fn spent(&self) -> f64 {
-        self.lock().spent()
+        self.budget.get().spent()
     }
 
     /// The configured total `ε`.
     pub fn total(&self) -> f64 {
-        self.lock().total()
+        self.budget.get().total()
     }
 }
 

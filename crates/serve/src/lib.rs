@@ -6,11 +6,12 @@
 //! Wang, Zhang, Kifer; VLDB 2019), rather than one-shot Monte-Carlo
 //! batches.
 //!
-//! One server process holds many tenants. Each tenant owns:
+//! One server process holds many tenants. Each tenant owns one lock over
+//! its state, and that state holds:
 //!
-//! * a [`BudgetLedger`] — its total privacy budget ε behind an atomic
-//!   debit-or-reject gate, so no interleaving of concurrent requests can
-//!   oversubscribe it (rejections are typed:
+//! * a [`BudgetLedger`] — its total privacy budget ε, debited and
+//!   credited only under the tenant lock, so no interleaving of
+//!   concurrent requests can oversubscribe it (rejections are typed:
 //!   [`server::RejectReason::Budget`] carries the requested/remaining ε);
 //! * a family of derived noise sub-streams — request `s` of tenant `t`
 //!   draws from `derive_fast_stream(tenant_seed, s)`, the same

@@ -4,11 +4,14 @@
 //!
 //! ## Concurrency and determinism
 //!
-//! Tenants are independent: each holds its own [`BudgetLedger`] and a
-//! mutex over its sessions and counters, so requests for different
-//! tenants never contend beyond a read-lock on the tenant map. All noise
-//! for a tenant comes from sub-streams derived off `(server seed, tenant
-//! id, per-tenant request sequence)` via the sharded-generator convention
+//! Tenants are independent: each holds one mutex over its
+//! [`BudgetLedger`], sessions and counters, so every ε flow (debit,
+//! refund of a failed call, session release on close or eviction) is a
+//! transition of the tenant state under that one lock, and requests for
+//! different tenants never contend beyond a read-lock on the tenant map.
+//! All noise for a tenant comes from sub-streams derived off `(server
+//! seed, tenant id, per-tenant request sequence)` via the
+//! sharded-generator convention
 //! ([`free_gap_noise::rng::derive_fast_stream`]): given each tenant's
 //! request order, every response — outputs, rejections, evictions — is
 //! bit-reproducible regardless of how many worker threads serve the
@@ -34,10 +37,9 @@
 use crate::ledger::BudgetLedger;
 use crate::session::SvtSession;
 use free_gap_core::api::{AnyMechanism, CallScratch, Mechanism, MechanismOutput, QuerySlice};
-use free_gap_core::draw::ParallelDraws;
 use free_gap_core::sparse_vector::SparseVectorWithGap;
 use free_gap_core::MechanismError;
-use free_gap_noise::rng::{derive_fast_stream, derive_stream_seed, splitmix64};
+use free_gap_noise::rng::{derive_fast_stream, splitmix64};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -183,7 +185,6 @@ impl MechanismResponse {
 pub struct WorkerScratch {
     call: CallScratch,
     out: MechanismOutput,
-    par: ParallelDraws,
 }
 
 impl WorkerScratch {
@@ -192,21 +193,8 @@ impl WorkerScratch {
         Self {
             call: CallScratch::new(),
             out: MechanismOutput::Indices(Vec::new()),
-            par: ParallelDraws::new(0, default_par_threads()),
         }
     }
-}
-
-/// Default intra-run thread count for the parallel call path: the
-/// machine's available parallelism clamped to the four-way layout the
-/// tests pin (one thread when parallelism cannot be queried). The clamp
-/// only affects wall-clock, never bits — [`ParallelDraws`] output is
-/// identical for every thread count.
-pub(crate) fn default_par_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(4)
 }
 
 impl Default for WorkerScratch {
@@ -217,6 +205,7 @@ impl Default for WorkerScratch {
 
 #[derive(Debug)]
 struct TenantInner {
+    ledger: BudgetLedger,
     sessions: HashMap<u64, SvtSession>,
     /// Open sessions by last-touch tick (tick → session id), one entry
     /// per entry of `sessions`; the front is the stalest session.
@@ -234,15 +223,15 @@ struct TenantInner {
 struct Tenant {
     /// Per-tenant RNG root, derived from the server seed and tenant id.
     seed: u64,
-    ledger: BudgetLedger,
     inner: Mutex<TenantInner>,
 }
 
 impl Tenant {
     fn lock(&self) -> MutexGuard<'_, TenantInner> {
-        // See BudgetLedger::lock for the poisoning rationale; session
-        // state is likewise only mutated through &mut self methods that
-        // leave it consistent.
+        // A poisoned lock means another thread panicked mid-request. The
+        // ledger's debit and release mutate only on success, and session
+        // state is only mutated through methods that leave it consistent,
+        // so the inner value is still sound and serving can continue.
         let inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         // Every holder leaves the idle index in step with the session
         // table, so this checks the state each request left behind.
@@ -256,10 +245,6 @@ impl Tenant {
 pub struct QueryServer {
     seed: u64,
     max_idle: u64,
-    /// One-shot calls whose workload reaches this length run through the
-    /// intra-run parallel path ([`AnyMechanism::call_par`]); `None`
-    /// (default) serves everything on the sequential batched path.
-    par_threshold: Option<usize>,
     tenants: RwLock<HashMap<u64, Arc<Tenant>>>,
 }
 
@@ -272,7 +257,6 @@ impl QueryServer {
         Self {
             seed,
             max_idle: DEFAULT_MAX_IDLE,
-            par_threshold: None,
             tenants: RwLock::new(HashMap::new()),
         }
     }
@@ -281,18 +265,6 @@ impl QueryServer {
     /// tenant's clock a session may sit untouched).
     pub fn with_max_idle(mut self, max_idle: u64) -> Self {
         self.max_idle = max_idle;
-        self
-    }
-
-    /// Opts one-shot calls with at least `threshold` queries into the
-    /// intra-run parallel path. The parallel path draws a *different*
-    /// (equally well-defined) noise stream than the sequential batched
-    /// path — the per-block layout keyed by `(tenant seed, request
-    /// sequence)` — so flipping this knob changes outputs, but for a fixed
-    /// threshold every response stays bit-reproducible regardless of the
-    /// worker count or the machine's core count.
-    pub fn with_par_threshold(mut self, threshold: usize) -> Self {
-        self.par_threshold = Some(threshold);
         self
     }
 
@@ -315,8 +287,8 @@ impl QueryServer {
             tenant,
             Arc::new(Tenant {
                 seed,
-                ledger,
                 inner: Mutex::new(TenantInner {
+                    ledger,
                     sessions: HashMap::new(),
                     idle: BTreeMap::new(),
                     clock: 0,
@@ -330,12 +302,12 @@ impl QueryServer {
 
     /// The tenant's remaining budget, if registered.
     pub fn remaining(&self, tenant: u64) -> Option<f64> {
-        self.tenant(tenant).map(|t| t.ledger.remaining())
+        self.tenant(tenant).map(|t| t.lock().ledger.remaining())
     }
 
     /// The tenant's spent budget, if registered.
     pub fn spent(&self, tenant: u64) -> Option<f64> {
-        self.tenant(tenant).map(|t| t.ledger.spent())
+        self.tenant(tenant).map(|t| t.lock().ledger.spent())
     }
 
     /// Open sessions for the tenant, if registered.
@@ -357,8 +329,9 @@ impl QueryServer {
 
     /// Serves one request. `worker` is the calling thread's reusable
     /// scratch; requests for the same tenant are serialized by the tenant
-    /// lock, and the budget debit is atomic, so any number of workers may
-    /// call this concurrently.
+    /// lock, which also guards the budget ledger, so a debit checks and
+    /// mutates in one step and any number of workers may call this
+    /// concurrently.
     pub fn handle(&self, req: &MechanismRequest, worker: &mut WorkerScratch) -> MechanismResponse {
         let Some(tenant) = self.tenant(req.tenant) else {
             return MechanismResponse::Rejected(RejectReason::UnknownTenant);
@@ -366,42 +339,24 @@ impl QueryServer {
         let mut inner = tenant.lock();
         inner.clock += 1;
         let now = inner.clock;
-        self.evict_idle(&tenant, &mut inner, now);
+        self.evict_idle(&mut inner, now);
         match &req.body {
             RequestBody::Call { mechanism, queries } => {
                 let cost = mechanism.cost();
-                if let Err(e) = tenant.ledger.try_debit(cost) {
+                if let Err(e) = inner.ledger.try_debit(cost) {
                     return MechanismResponse::Rejected(budget_reject(e));
                 }
                 inner.seq += 1;
+                let mut rng = derive_fast_stream(tenant.seed, inner.seq);
                 let slice = QuerySlice::new(queries);
-                let result = match self.par_threshold {
-                    Some(threshold) if queries.len() >= threshold => {
-                        // Same derivation key as the sequential path, but
-                        // feeding the per-block sub-stream layout instead
-                        // of one sequential generator.
-                        worker.par.reset(derive_stream_seed(tenant.seed, inner.seq));
-                        // lint:allow(lock-discipline): per-tenant serialization is the determinism contract — the response stream of a tenant must be a function of its own request order, so its guard intentionally spans the call; other tenants hold other guards
-                        mechanism.call_par(
-                            &slice,
-                            &mut worker.par,
-                            &mut worker.call,
-                            &mut worker.out,
-                        )
-                    }
-                    _ => {
-                        let mut rng = derive_fast_stream(tenant.seed, inner.seq);
-                        // lint:allow(lock-discipline): same per-tenant serialization contract as the call_par arm above
-                        mechanism.call_batched(&slice, &mut rng, &mut worker.call, &mut worker.out)
-                    }
-                };
-                match result {
+                // lint:allow(lock-discipline): per-tenant serialization is the determinism contract — the response stream of a tenant must be a function of its own request order, so its guard intentionally spans the call; other tenants hold other guards
+                match mechanism.call_batched(&slice, &mut rng, &mut worker.call, &mut worker.out) {
                     Ok(()) => MechanismResponse::Output(worker.out.clone()),
                     Err(e) => {
                         // The call drew no noise and released no output:
                         // refund the debit so a malformed workload does
                         // not burn budget.
-                        let refunded = tenant.ledger.release(cost);
+                        let refunded = inner.ledger.release(cost);
                         debug_assert!(refunded.is_ok());
                         MechanismResponse::Rejected(RejectReason::Invalid(e))
                     }
@@ -412,7 +367,7 @@ impl QueryServer {
                     return MechanismResponse::Rejected(RejectReason::SessionExists);
                 }
                 let cost = svt.epsilon();
-                if let Err(e) = tenant.ledger.try_debit(cost) {
+                if let Err(e) = inner.ledger.try_debit(cost) {
                     return MechanismResponse::Rejected(budget_reject(e));
                 }
                 inner.seq += 1;
@@ -444,7 +399,7 @@ impl QueryServer {
                     return MechanismResponse::Rejected(RejectReason::UnknownSession);
                 };
                 inner.idle.remove(&open.last_used());
-                let released = release_session(&tenant.ledger, &open);
+                let released = release_session(&inner.ledger, &open);
                 MechanismResponse::SessionClosed {
                     session: *session,
                     released,
@@ -460,14 +415,14 @@ impl QueryServer {
     /// the tenant lock the caller already holds, so a session can never be
     /// released twice (eviction and explicit close race on the same map
     /// entry).
-    fn evict_idle(&self, tenant: &Tenant, inner: &mut TenantInner, now: u64) {
+    fn evict_idle(&self, inner: &mut TenantInner, now: u64) {
         while let Some(stalest) = inner.idle.first_entry() {
             if now.saturating_sub(*stalest.key()) <= self.max_idle {
                 break;
             }
             let id = stalest.remove();
             if let Some(open) = inner.sessions.remove(&id) {
-                release_session(&tenant.ledger, &open);
+                release_session(&inner.ledger, &open);
                 inner.evicted += 1;
             }
         }

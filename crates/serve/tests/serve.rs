@@ -1,7 +1,8 @@
 //! Serving-layer invariants: the ISSUE's acceptance criteria live here.
 //!
-//! * concurrent debits can never jointly oversubscribe a tenant's ε
-//!   (seeded stress race + exact-sum assertion on dyadic amounts);
+//! * concurrent calls can never jointly oversubscribe a tenant's ε
+//!   (eight threads racing `QueryServer::handle` on one tenant, with an
+//!   exact-sum assertion on dyadic costs);
 //! * an evicted session's unspent budget is released exactly once;
 //! * per-tenant responses are independent of how requests from different
 //!   tenants interleave (the sequential reference check);
@@ -23,63 +24,80 @@ use proptest::prelude::*;
 use rand::Rng;
 use std::collections::HashMap;
 
-/// N threads race debits of dyadic amounts (exact in binary, so sums are
-/// order-independent): the ledger's spent total must equal the exact sum
-/// of the granted debits, and never exceed ε.
-#[test]
-fn concurrent_debits_never_oversubscribe_epsilon() {
-    let total = 10.0;
-    let ledger = BudgetLedger::new(total).unwrap();
-    // Dyadic per-thread amounts: any interleaving sums exactly.
-    let amounts = [0.25, 0.5, 0.125];
-    let granted: Vec<f64> = std::thread::scope(|scope| {
+/// A one-shot call costing exactly `epsilon`: Noisy-Top-K-with-Gap at
+/// k = 1 debits its ε and nothing else.
+fn top1_call(epsilon: f64) -> MechanismRequest {
+    MechanismRequest {
+        tenant: 0,
+        body: RequestBody::Call {
+            mechanism: NoisyTopKWithGap::new(1, epsilon, true).unwrap().into(),
+            queries: vec![4.0, 3.0, 2.0, 1.0],
+        },
+    }
+}
+
+/// Eight threads race `QueryServer::handle` calls on one tenant, each
+/// thread at one cost per call, and count the ε of the calls that were
+/// granted. Every other response must be a budget rejection.
+fn race_calls(server: &QueryServer, costs: &[f64], calls: usize) -> Vec<f64> {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
             .map(|t| {
-                let ledger = &ledger;
-                let amount = amounts[t % amounts.len()];
+                let cost = costs[t % costs.len()];
                 scope.spawn(move || {
-                    let mut granted = 0.0;
-                    for _ in 0..200 {
-                        if ledger.try_debit(amount).is_ok() {
-                            granted += amount;
+                    let req = top1_call(cost);
+                    let mut scratch = WorkerScratch::new();
+                    let mut granted = Vec::new();
+                    for _ in 0..calls {
+                        match server.handle(&req, &mut scratch) {
+                            MechanismResponse::Output(_) => granted.push(cost),
+                            other => assert!(other.is_budget_rejected(), "{other:?}"),
                         }
                     }
                     granted
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let granted_sum: f64 = granted.iter().sum();
-    // Exact equality: every quantity is a small dyadic rational.
-    assert_eq!(ledger.spent(), granted_sum);
-    assert!(ledger.spent() <= total);
-    // The race must have actually filled the budget: every thread alone
-    // requests 200 × amount ≥ 25 > ε, so less than ε spent would mean
-    // debits were lost. The smallest amount always fits until < 0.125
-    // remains, and all amounts divide evenly into 10.
-    assert_eq!(ledger.spent(), total);
-    assert!(matches!(
-        ledger.try_debit(0.125),
-        Err(free_gap_core::MechanismError::BudgetExhausted { .. })
-    ));
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect()
+    })
 }
 
-/// Same race with uniform amounts: the grant count is exactly ε / amount.
+/// N threads race calls of dyadic cost (exact in binary, so sums are
+/// order-independent) through the server: the tenant's spent total must
+/// equal the exact sum of the granted calls, and never exceed ε.
+#[test]
+fn concurrent_debits_never_oversubscribe_epsilon() {
+    let total = 10.0;
+    let server = QueryServer::new(3);
+    server.register_tenant(0, total).unwrap();
+    // Dyadic per-thread costs: any interleaving sums exactly.
+    let granted = race_calls(&server, &[0.25, 0.5, 0.125], 200);
+    let granted_sum: f64 = granted.iter().sum();
+    let spent = server.spent(0).unwrap();
+    // Exact equality: every quantity is a small dyadic rational.
+    assert_eq!(spent, granted_sum);
+    assert!(spent <= total);
+    // The race must have actually filled the budget: every thread alone
+    // requests 200 × cost ≥ 25 > ε, so less than ε spent would mean
+    // debits were lost. The smallest cost always fits until < 0.125
+    // remains, and all costs divide evenly into 10.
+    assert_eq!(spent, total);
+    assert!(server
+        .handle(&top1_call(0.125), &mut WorkerScratch::new())
+        .is_budget_rejected());
+}
+
+/// Same race with uniform costs: the grant count is exactly ε / cost.
 #[test]
 fn concurrent_debit_grant_count_is_exact() {
-    let ledger = BudgetLedger::new(10.0).unwrap();
-    let grants: usize = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let ledger = &ledger;
-                scope.spawn(move || (0..100).filter(|_| ledger.try_debit(0.25).is_ok()).count())
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).sum()
-    });
-    assert_eq!(grants, 40); // 10 / 0.25, no more, no less
-    assert_eq!(ledger.spent(), 10.0);
+    let server = QueryServer::new(4);
+    server.register_tenant(0, 10.0).unwrap();
+    let granted = race_calls(&server, &[0.25], 100);
+    assert_eq!(granted.len(), 40); // 10 / 0.25, no more, no less
+    assert_eq!(server.spent(0), Some(10.0));
 }
 
 fn tick(server: &QueryServer, tenant: u64, scratch: &mut WorkerScratch) -> MechanismResponse {
@@ -359,21 +377,15 @@ fn serve_bench_digest_depends_on_seed() {
     assert_ne!(a.digest, b.digest);
 }
 
-/// Golden digests of `repro serve-bench --quick` at the CLI's default
-/// seed, sequential and with `--par-threshold 64`. The board evicts at
-/// `max_idle = 32`, so the pin also covers the eviction order.
+/// Golden digest of `repro serve-bench --quick` at the CLI's default
+/// seed. The board evicts at `max_idle = 32`, so the pin also covers the
+/// eviction order.
 #[test]
 fn serve_bench_quick_digests_are_pinned() {
     let config = ServeBenchConfig::quick(20190412);
     let report = free_gap_serve::bench::run(&config).unwrap();
     assert!(report.evictions > 0, "the board evicted nothing");
     assert_eq!(report.digest, 0xac44_ad34_f3fc_feed);
-    let mut par = config;
-    par.par_threshold = Some(64);
-    assert_eq!(
-        free_gap_serve::bench::run(&par).unwrap().digest,
-        0x58b2_e8f4_b652_ca02
-    );
 }
 
 fn send(server: &QueryServer, scratch: &mut WorkerScratch, body: RequestBody) -> MechanismResponse {
