@@ -2,7 +2,7 @@
 //! concrete runs.
 
 use crate::mechanism::AlignedMechanism;
-use crate::source::{RecordingSource, ReplaySource};
+use crate::source::{DrawMismatch, TapeSource};
 use crate::tape::NoiseTape;
 use rand::rngs::StdRng;
 use std::fmt;
@@ -37,6 +37,9 @@ pub enum AlignmentError {
         /// The budget it was checked against.
         epsilon: f64,
     },
+    /// The neighbor execution requested a draw from a different family or
+    /// scale than the original run drew at the same position.
+    DrawMismatch(DrawMismatch),
     /// The neighbor execution did not consume exactly the aligned tape.
     TapeNotDrained {
         /// Draws left unconsumed.
@@ -61,6 +64,13 @@ impl fmt::Display for AlignmentError {
             }
             AlignmentError::CostExceeded { cost, epsilon } => {
                 write!(f, "alignment cost {cost} exceeds ε = {epsilon}")
+            }
+            AlignmentError::DrawMismatch(m) => {
+                write!(
+                    f,
+                    "draw {}: aligned run requested {:?} at scale {} but original drew {:?} at scale {} (draw structure diverged)",
+                    m.index, m.requested_kind, m.requested_scale, m.recorded_kind, m.recorded_scale
+                )
             }
             AlignmentError::TapeNotDrained { remaining } => {
                 write!(
@@ -89,7 +99,8 @@ const COST_SLACK: f64 = 1e-9;
 ///
 /// 1. `ω = M(D, H)` with fresh recorded noise `H`;
 /// 2. `H' = φ_{D,D',ω}(H)` from the mechanism's alignment constructor;
-/// 3. `ω' = M(D', H')` by replay (verifying draw-for-draw scale equality);
+/// 3. `ω' = M(D', H')` by replay (verifying draw-for-draw family and scale
+///    equality);
 /// 4. check `ω' = ω`, the tape is fully drained, and `cost(φ) ≤ ε`.
 ///
 /// Returns the report on success, or the first violated condition.
@@ -100,7 +111,7 @@ pub fn check_alignment<M: AlignedMechanism>(
     rng: &mut StdRng,
 ) -> Result<AlignmentReport, AlignmentError> {
     // (1) original execution with recording.
-    let mut recorder = RecordingSource::new(rng);
+    let mut recorder = TapeSource::record(rng);
     let output = mechanism.run(input, &mut recorder);
     let original_tape = recorder.into_tape();
 
@@ -108,8 +119,11 @@ pub fn check_alignment<M: AlignedMechanism>(
     let aligned_tape = mechanism.align(input, neighbor, &original_tape, &output);
 
     // (3) neighbor execution by replay.
-    let mut replay = ReplaySource::new(aligned_tape.clone());
+    let mut replay = TapeSource::replay(aligned_tape.clone());
     let aligned_output = mechanism.run(neighbor, &mut replay);
+    if let Some(mismatch) = replay.mismatch() {
+        return Err(AlignmentError::DrawMismatch(mismatch));
+    }
     if replay.overrun() > 0 {
         return Err(AlignmentError::TapeOverrun {
             extra: replay.overrun(),
@@ -164,7 +178,6 @@ pub fn check_alignment_many<M: AlignedMechanism>(
 mod tests {
     use super::*;
     use crate::mechanism::AlignedMechanism;
-    use crate::source::NoiseSource;
     use free_gap_noise::rng::rng_from_seed;
     use free_gap_noise::{Laplace, Noise};
 
@@ -185,7 +198,7 @@ mod tests {
         // reproduces the *exact* real number, so raw f64 equality works too.
         type Output = f64;
 
-        fn run(&self, input: &f64, source: &mut dyn NoiseSource) -> f64 {
+        fn run(&self, input: &f64, source: &mut TapeSource<'_>) -> f64 {
             input + source.draw(&lap(self.sensitivity / self.epsilon))
         }
 
@@ -241,7 +254,7 @@ mod tests {
         type Input = usize;
         type Output = usize;
 
-        fn run(&self, input: &usize, source: &mut dyn NoiseSource) -> usize {
+        fn run(&self, input: &usize, source: &mut TapeSource<'_>) -> usize {
             for _ in 0..*input {
                 source.draw(&lap(1.0));
             }
@@ -275,7 +288,7 @@ mod tests {
         impl AlignedMechanism for EchoInput {
             type Input = usize;
             type Output = usize;
-            fn run(&self, input: &usize, source: &mut dyn NoiseSource) -> usize {
+            fn run(&self, input: &usize, source: &mut TapeSource<'_>) -> usize {
                 source.draw(&lap(1.0));
                 *input
             }
@@ -294,6 +307,45 @@ mod tests {
         );
     }
 
+    /// A mechanism whose draw scale depends on its input: the neighbor's
+    /// replay requests a scale the tape never recorded.
+    struct InputScaled;
+
+    impl AlignedMechanism for InputScaled {
+        type Input = f64;
+        type Output = bool;
+
+        fn run(&self, input: &f64, source: &mut TapeSource<'_>) -> bool {
+            source.draw(&lap(*input)) > 0.0
+        }
+
+        fn align(&self, _: &f64, _: &f64, tape: &NoiseTape, _: &bool) -> NoiseTape {
+            tape.clone()
+        }
+
+        fn epsilon(&self) -> f64 {
+            1.0
+        }
+    }
+
+    #[test]
+    fn draw_mismatch_is_an_error_not_a_panic() {
+        let mut rng = rng_from_seed(1);
+        let err = check_alignment(&InputScaled, &1.0, &2.0, &mut rng).unwrap_err();
+        match err {
+            AlignmentError::DrawMismatch(m) => {
+                assert_eq!(m.index, 0);
+                assert_eq!(m.recorded_scale, 1.0);
+                assert_eq!(m.requested_scale, 2.0);
+                assert_eq!(m.recorded_kind, crate::tape::DrawKind::Laplace);
+                assert_eq!(m.requested_kind, crate::tape::DrawKind::Laplace);
+            }
+            other => panic!("expected DrawMismatch, got {other}"),
+        }
+        // The same mechanism on equal-scale neighbors checks out.
+        assert!(check_alignment(&InputScaled, &1.0, &1.0, &mut rng).is_ok());
+    }
+
     #[test]
     fn errors_display_readably() {
         let e = AlignmentError::CostExceeded {
@@ -303,5 +355,15 @@ mod tests {
         assert!(e.to_string().contains("1.5"));
         let e = AlignmentError::TapeNotDrained { remaining: 2 };
         assert!(e.to_string().contains("2 draws"));
+        let e = AlignmentError::DrawMismatch(DrawMismatch {
+            index: 3,
+            recorded_scale: 1.0,
+            recorded_kind: crate::tape::DrawKind::Laplace,
+            requested_scale: 2.0,
+            requested_kind: crate::tape::DrawKind::Gumbel,
+        });
+        assert!(e
+            .to_string()
+            .starts_with("draw 3: aligned run requested Gumbel at scale 2"));
     }
 }

@@ -15,11 +15,13 @@
 //!
 //! * [`tape::NoiseTape`] — a recorded sequence of `(value, scale)` noise
 //!   draws, the concrete prefix of the paper's `H`.
-//! * [`source::NoiseSource`] — the sampling interface mechanisms draw
-//!   through. A [`source::RecordingSource`] samples fresh noise and records
-//!   it; a [`source::ReplaySource`] replays a (possibly aligned) tape and
-//!   verifies that scales match draw-for-draw — catching mechanisms whose
-//!   draw *structure* depends on data in unaligned ways.
+//! * [`source::TapeSource`] — the noise source mechanisms draw through
+//!   under the checker. It either records fresh noise from an RNG onto a
+//!   tape or replays a (possibly aligned) tape, verifying that families
+//!   and scales match draw-for-draw — catching mechanisms whose draw
+//!   *structure* depends on data in unaligned ways. Core implements its
+//!   `DrawProvider` trait for it, so every mechanism core runs on it
+//!   unchanged.
 //! * [`mechanism::AlignedMechanism`] — a mechanism plus its local-alignment
 //!   constructor `φ`.
 //! * [`checker`] — runs `M(D, H)`, builds `H' = φ(H)`, runs `M(D', H')`, and
@@ -52,5 +54,5 @@ pub use adjacency::{AdjacencyModel, Perturbation};
 pub use binomial::{clopper_pearson, epsilon_lower_bound};
 pub use checker::{check_alignment, AlignmentError, AlignmentReport};
 pub use mechanism::AlignedMechanism;
-pub use source::{NoiseSource, RecordingSource, ReplaySource, SamplingSource};
+pub use source::{DrawMismatch, TapeSource};
 pub use tape::{Draw, NoiseTape};

@@ -1,7 +1,7 @@
 //! The [`AlignedMechanism`] trait: a randomized mechanism packaged with its
 //! local-alignment constructor.
 
-use crate::source::NoiseSource;
+use crate::source::TapeSource;
 use crate::tape::NoiseTape;
 use std::fmt::Debug;
 
@@ -11,7 +11,7 @@ use std::fmt::Debug;
 /// Implementors provide:
 ///
 /// * [`run`](Self::run) — the mechanism itself, drawing noise only through
-///   the given [`NoiseSource`] (this is what makes record/replay possible);
+///   the given [`TapeSource`] (this is what makes record/replay possible);
 /// * [`align`](Self::align) — given the input `D`, a neighbor `D'`, the
 ///   recorded noise `H` and the produced output `ω`, the aligned noise
 ///   `H' = φ_{D,D',ω}(H)` under which `M(D', H')` must reproduce `ω`;
@@ -25,7 +25,7 @@ pub trait AlignedMechanism {
     type Output: PartialEq + Debug;
 
     /// Executes the mechanism on `input`, drawing noise from `source`.
-    fn run(&self, input: &Self::Input, source: &mut dyn NoiseSource) -> Self::Output;
+    fn run(&self, input: &Self::Input, source: &mut TapeSource<'_>) -> Self::Output;
 
     /// Builds the aligned tape `H' = φ_{D,D',ω}(H)`.
     ///
@@ -73,7 +73,7 @@ mod tests {
         type Input = f64;
         type Output = bool;
 
-        fn run(&self, input: &f64, source: &mut dyn NoiseSource) -> bool {
+        fn run(&self, input: &f64, source: &mut TapeSource<'_>) -> bool {
             let scale = self.sensitivity / self.epsilon;
             input + source.draw(&Noise::Laplace(Laplace::new(scale).unwrap())) >= self.threshold
         }
@@ -124,7 +124,7 @@ mod tests {
         impl AlignedMechanism for Broken {
             type Input = f64;
             type Output = bool;
-            fn run(&self, input: &f64, source: &mut dyn NoiseSource) -> bool {
+            fn run(&self, input: &f64, source: &mut TapeSource<'_>) -> bool {
                 self.0.run(input, source)
             }
             fn align(&self, _: &f64, _: &f64, tape: &NoiseTape, _: &bool) -> NoiseTape {

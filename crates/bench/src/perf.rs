@@ -5,7 +5,7 @@
 //!
 //! | path | meaning |
 //! |------|---------|
-//! | `dyn` | [`AnyMechanism::call_reference`] — the `SourceDraws` provider over `dyn NoiseSource`, fresh buffers per run (the "before") |
+//! | `dyn` | [`AnyMechanism::call_reference`] — the reference path: the draw-exact `RngDraws` provider on `StdRng`, fresh buffers per run (the column keeps its historical name) |
 //! | `scratch` | [`AnyMechanism::call_batched`] — the batched provider (`RngDraws`, or the `ScratchDraws` tape for SVT/staircase), reused buffers, monomorphic `StdRng` |
 //! | `scratch_fast` | `call_batched` driven by [`FastRng`](free_gap_noise::rng::FastRng) (Xoshiro) — the Monte-Carlo fast path |
 //! | `streaming` | each streaming mechanism's lazy `*_streaming_with_scratch_into` entry — the lazy-iterator serving path (all mechanisms except the Noisy-Top-K family, which needs the whole vector by definition) |
@@ -35,17 +35,14 @@
 //! without ever materializing the query vector — is demonstrated
 //! end-to-end by `examples/streaming_svt.rs`.
 //!
-//! The headline before/after comparison is `dyn` (the only path that
-//! existed before the batching work) against `scratch_fast` (the Monte-Carlo
-//! substrate those loops now use: batching + monomorphization + the fast
-//! generator together) — ~2× on the continuous 100k-query cells and
-//! ~2.4–2.9× on the discrete (finite-precision) ones. The `scratch` column
-//! isolates how much of that is batching alone under the deterministic
-//! ChaCha generator: ~1.1× for the continuous mechanisms (per-draw cost
-//! there is dominated by ChaCha and `ln`, which batching cannot remove) and
-//! ~1.7–2.0× for the discrete ones, whose dyn path additionally pays a
-//! per-draw distribution construction (`exp` + `ln`) that the scratch tape
-//! hoists and caches per rate.
+//! The `dyn` column is the reference path: fresh buffers per run, and one
+//! sample per draw wherever the batched path would use the blocked
+//! `ScratchDraws` tape. For the Noisy-Top-K family both `dyn` and
+//! `scratch` run `RngDraws` on the same `StdRng`, so `scratch` only saves
+//! the buffer allocations (≈1.0× in the committed grid); for the SVT family
+//! `scratch` adds the blocked tape (≈1.1–1.7×). `scratch_fast` then swaps
+//! in the fast generator, so `dyn` vs `scratch_fast` is batching,
+//! buffer reuse and the generator together.
 //!
 //! The discrete mechanisms run on the integer-lattice projection of the
 //! same workload (their finite-precision contract), with the threshold
@@ -400,7 +397,7 @@ fn grid_mechanisms(k: usize, threshold: f64, int_threshold: f64) -> Vec<AnyMecha
 ///
 /// The `dyn`/`scratch`/`scratch_fast` cells all dispatch through the
 /// unified `Mechanism` trait: `dyn` is [`AnyMechanism::call_reference`]
-/// (the allocating `dyn NoiseSource` path) and the scratch cells are
+/// (the allocating reference path) and the scratch cells are
 /// [`AnyMechanism::call_batched`] under the two generator families — one
 /// pair of closures for all ten mechanisms, where the old grid carried a
 /// hand-written pair per mechanism. The `streaming` cells stay on the

@@ -7,19 +7,19 @@
 //!
 //! * [`Mechanism`] — the one-call trait: a query slice in, a
 //!   [`MechanismOutput`] out, noise through the caller's [`DrawProvider`].
-//!   The provider *is* the execution path: [`SourceDraws`] (the dyn
-//!   reference the alignment checker interposes on), [`RngDraws`] (batched,
-//!   draw-exact), [`ScratchDraws`] (blocked noise tape) or
-//!   [`ParallelDraws`] (per-block sub-streams). The draw-exact and blocked
-//!   providers serve bit-identical draws on the same RNG stream
-//!   (`tests/scratch_equivalence.rs` pins this).
+//!   The provider *is* the execution path: [`RngDraws`] (the draw-exact
+//!   reference and batched path), [`ScratchDraws`] (blocked noise tape),
+//!   [`ParallelDraws`] (per-block sub-streams) or the alignment checker's
+//!   record/replay [`TapeSource`](free_gap_alignment::TapeSource). The
+//!   draw-exact and blocked providers serve bit-identical draws on the
+//!   same RNG stream (`tests/scratch_equivalence.rs` pins this).
 //! * [`AnyMechanism`] — a closed enum over the ten grid mechanisms
 //!   (`MECHANISM_PATHS` in the benchmark), dispatching [`Mechanism::call`]
 //!   plus three provider-choosing conveniences:
 //!   [`call_batched`](AnyMechanism::call_batched) (the fast path a server
 //!   worker drives), [`call_par`](AnyMechanism::call_par) (the intra-run
 //!   parallel path) and [`call_reference`](AnyMechanism::call_reference)
-//!   (the dyn `NoiseSource` reference path).
+//!   (the reference path: fresh buffers per call).
 //!
 //! Design note — why `call` takes a scratch parameter where the obvious
 //! sketch would not: the selection mechanisms need `n`- and `k`-sized
@@ -28,7 +28,7 @@
 //! keeps the trait allocation-free across requests, while the SVT family's
 //! noise tape rides inside the provider ([`ScratchDraws`]) instead.
 
-use crate::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws};
 use crate::error::MechanismError;
 use crate::exponential_mech::ExponentialMechanism;
 use crate::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap, TopKOutput};
@@ -39,7 +39,6 @@ use crate::sparse_vector::{
     MultiBranchSvOutput, SparseVectorWithGap, SvOutput,
 };
 use crate::staircase_mech::StaircaseMechanism;
-use free_gap_alignment::SamplingSource;
 use free_gap_noise::rng::splitmix64;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -716,20 +715,16 @@ impl AnyMechanism {
         }
     }
 
-    /// The dyn reference path: [`Mechanism::call`] through
-    /// [`SourceDraws`] over a [`SamplingSource`], allocating fresh
-    /// buffers per call — the per-draw-cost baseline the benchmark grid
-    /// measures the fast paths against.
+    /// The reference path: [`Mechanism::call`] through [`RngDraws`] on
+    /// `rng`, allocating fresh buffers per call — the baseline the
+    /// benchmark grid measures the buffer-reusing paths against.
     pub fn call_reference(
         &self,
         req: &QuerySlice<'_>,
         rng: &mut StdRng,
         out: &mut MechanismOutput,
     ) -> Result<(), MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        let mut provider = SourceDraws::new(&mut source);
-        let mut scratch = TopKScratch::new();
-        self.call(req, &mut provider, &mut scratch, out)
+        self.call(req, &mut RngDraws::new(rng), &mut TopKScratch::new(), out)
     }
 }
 
@@ -793,25 +788,24 @@ impl From<DiscreteSparseVectorWithGap> for AnyMechanism {
     }
 }
 
-/// Test shorthands for the dyn reference path, shared by the in-crate
+/// Test shorthands for the reference path, shared by the in-crate
 /// mechanism tests.
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
     use crate::answers::QueryAnswers;
 
-    /// One [`Mechanism::call`] through [`SourceDraws`] over a
-    /// [`SamplingSource`] on `rng`, with fresh buffers.
+    /// One [`Mechanism::call`] through [`RngDraws`] on `rng`, with fresh
+    /// buffers.
     pub(crate) fn reference<M: Mechanism>(
         m: &M,
         answers: &QueryAnswers,
         rng: &mut StdRng,
     ) -> Result<MechanismOutput, MechanismError> {
-        let mut source = SamplingSource::new(rng);
         let mut out = MechanismOutput::Indices(Vec::new());
         m.call(
             &QuerySlice::from_answers(answers),
-            &mut SourceDraws::new(&mut source),
+            &mut RngDraws::new(rng),
             &mut TopKScratch::new(),
             &mut out,
         )?;

@@ -11,11 +11,15 @@
 //!                                      │
 //!        ┌──────────────────┬──────────┴─────────┬──────────────────────┐
 //!        ▼                  ▼                    ▼                      ▼
-//!   SourceDraws        ScratchDraws          RngDraws             ParallelDraws
-//!   (dyn NoiseSource:  (SvtScratch tape:     (plain Rng:          (per-block
-//!    alignment checker, blocked raw-uniform   draw-exact           sub-streams,
-//!    reference path)    lookahead)            monomorphic)         scoped threads)
+//!     RngDraws         ScratchDraws          TapeSource           ParallelDraws
+//!   (plain Rng:        (SvtScratch tape:     (alignment checker:  (per-block
+//!    draw-exact,        blocked raw-uniform   records or replays   sub-streams,
+//!    reference path)    lookahead)            a noise tape)        scoped threads)
 //! ```
+//!
+//! `DrawProvider` is the workspace's only draw trait: the alignment crate's
+//! record/replay [`TapeSource`] reaches the cores through the impl in this
+//! module, not through a trait of its own.
 //!
 //! ## Contract
 //!
@@ -33,7 +37,7 @@
 //! is bit-identical to a sequential sampling loop over the requested specs
 //! on the same underlying stream. A provider may pull more randomness than
 //! it serves (block lookahead, [`ScratchDraws`]) or be draw-exact
-//! ([`SourceDraws`], [`RngDraws`]); cores therefore only call `peek`
+//! ([`RngDraws`], [`TapeSource`]); cores therefore only call `peek`
 //! **after** the matching query is known to exist, so draw-exact providers
 //! never sample noise for a query that was never pulled — which is what
 //! keeps the recorded alignment tapes draw-for-draw identical to a
@@ -56,7 +60,7 @@
 //! and the per-chunk Top-K reduce are tested against.
 
 use crate::scratch::SvtScratch;
-use free_gap_alignment::NoiseSource;
+use free_gap_alignment::TapeSource;
 use free_gap_noise::par;
 use free_gap_noise::rng::{derive_fast_stream, FastRng};
 use free_gap_noise::{Laplace, Noise};
@@ -155,50 +159,18 @@ pub(crate) fn check_tuple(noises: &[Noise]) {
     );
 }
 
-/// Draws one sequential tuple into `buf` — the `peek` of the draw-exact
-/// providers, which cannot look ahead without changing what they serve.
-fn draw_tuple<'b>(
-    buf: &'b mut [f64; MAX_TUPLE],
-    noises: &[Noise],
-    mut draw: impl FnMut(&Noise) -> f64,
-) -> &'b [f64] {
-    check_tuple(noises);
-    for (slot, noise) in buf.iter_mut().zip(noises) {
-        *slot = draw(noise);
-    }
-    &buf[..noises.len()]
-}
-
-/// Draw-provider adapter over the alignment crate's `dyn NoiseSource` — the
-/// reference path the checker interposes on (recording and replaying noise
-/// tapes). Strictly draw-exact: every draw is forwarded 1:1, in order, with
-/// the requested spec, so recorded tapes are identical to a hand-written
-/// per-draw loop.
-pub struct SourceDraws<'a> {
-    source: &'a mut dyn NoiseSource,
-    /// One-tuple backing store for `peek` (a dyn source cannot look ahead
-    /// without corrupting the tape).
-    tuple: [f64; MAX_TUPLE],
-}
-
-impl<'a> SourceDraws<'a> {
-    /// Wraps a noise source.
-    pub fn new(source: &'a mut dyn NoiseSource) -> Self {
-        Self {
-            source,
-            tuple: [0.0; MAX_TUPLE],
-        }
-    }
-}
-
-impl DrawProvider for SourceDraws<'_> {
+/// The alignment checker's record/replay tape as a provider: strictly
+/// draw-exact, every draw forwarded 1:1, in order, with the requested spec
+/// (`fill` keeps the default per-draw loop), so recorded tapes are
+/// identical to a hand-written per-draw loop.
+impl DrawProvider for TapeSource<'_> {
     fn next(&mut self, noise: Noise) -> f64 {
-        self.source.draw(&noise)
+        self.draw(&noise)
     }
 
     fn peek(&mut self, noises: &[Noise]) -> &[f64] {
-        let source = &mut *self.source;
-        draw_tuple(&mut self.tuple, noises, |n| source.draw(n))
+        check_tuple(noises);
+        self.draw_tuple(noises)
     }
 }
 
@@ -256,8 +228,9 @@ impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {
 }
 
 /// Draw-exact monomorphic provider over a plain [`rand::Rng`] — no block
-/// lookahead, no `dyn` dispatch. This is the Top-K scratch path (which
-/// draws exactly `n` variates in one batched
+/// lookahead, no `dyn` dispatch. This is the reference path
+/// ([`call_reference`](crate::api::AnyMechanism::call_reference)), the
+/// Top-K scratch path (which draws exactly `n` variates in one batched
 /// [`Noise::fill_into_offset`] pass) and a general-purpose provider for
 /// mechanisms without an [`SvtScratch`] at hand.
 pub struct RngDraws<'a, R: Rng + ?Sized> {
@@ -282,8 +255,11 @@ impl<R: Rng + ?Sized> DrawProvider for RngDraws<'_, R> {
     }
 
     fn peek(&mut self, noises: &[Noise]) -> &[f64] {
-        let rng = &mut *self.rng;
-        draw_tuple(&mut self.tuple, noises, |n| n.sample(rng))
+        check_tuple(noises);
+        for (slot, noise) in self.tuple.iter_mut().zip(noises) {
+            *slot = noise.sample(self.rng);
+        }
+        &self.tuple[..noises.len()]
     }
 
     fn fill(&mut self, base: &[f64], noise: Noise, out: &mut Vec<f64>) {
@@ -406,7 +382,6 @@ impl DrawProvider for ParallelDraws {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use free_gap_alignment::SamplingSource;
     use free_gap_noise::rng::rng_from_seed;
     use free_gap_noise::{ContinuousDistribution, DiscreteLaplace, Exponential, Gumbel, Staircase};
 
@@ -427,12 +402,11 @@ mod tests {
     }
 
     #[test]
-    fn source_draws_forward_in_order() {
+    fn tape_source_forwards_in_order() {
         let mut ref_rng = rng_from_seed(5);
         let lap_ref = |s: f64, r: &mut rand::rngs::StdRng| Laplace::new(s).unwrap().sample(r);
         let mut rng = rng_from_seed(5);
-        let mut source = SamplingSource::new(&mut rng);
-        let mut p = SourceDraws::new(&mut source);
+        let mut p = TapeSource::record(&mut rng);
         p.begin();
         assert_eq!(p.next(lap(2.0)), lap_ref(2.0, &mut ref_rng));
         let pair = p.peek(&[lap(3.0), lap(0.5)]).to_vec();
@@ -450,14 +424,16 @@ mod tests {
                 20.0 + lap_ref(1.5, &mut ref_rng)
             ]
         );
+        // One tape entry per served draw, in serve order.
+        let scales: Vec<f64> = p.tape().draws().iter().map(|d| d.scale).collect();
+        assert_eq!(scales, vec![2.0, 3.0, 0.5, 1.5, 1.5]);
     }
 
     /// Runs `f` on the three single-stream providers over identically
     /// seeded streams and asserts they served bit-identical values.
     fn assert_single_stream_providers_agree(seed: u64, f: impl Fn(&mut dyn FnMut(Op) -> Vec<f64>)) {
         let mut rng_a = rng_from_seed(seed);
-        let mut source = SamplingSource::new(&mut rng_a);
-        let mut a = SourceDraws::new(&mut source);
+        let mut a = TapeSource::record(&mut rng_a);
         let mut rng_b = rng_from_seed(seed);
         let mut scratch = SvtScratch::new();
         let mut b = ScratchDraws::new(&mut scratch, &mut rng_b);

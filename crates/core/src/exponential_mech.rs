@@ -275,8 +275,7 @@ mod tests {
     use super::*;
     use crate::api::testing::reference;
     use crate::api::ExponentialTopK;
-    use crate::draw::SourceDraws;
-    use free_gap_alignment::SamplingSource;
+    use crate::draw::RngDraws;
     use free_gap_noise::rng::rng_from_seed;
 
     fn workload() -> QueryAnswers {
@@ -456,8 +455,7 @@ mod tests {
         for k in 1..=answers.len() {
             for seed in 0..20 {
                 let mut rng = rng_from_seed(seed);
-                let mut source = SamplingSource::new(&mut rng);
-                let mut provider = SourceDraws::new(&mut source);
+                let mut provider = RngDraws::new(&mut rng);
                 provider.begin();
                 let t = base.exponent();
                 let mut scores: Vec<(f64, usize)> = answers

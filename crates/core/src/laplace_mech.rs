@@ -7,8 +7,9 @@
 //! i.e. noise `Lap(kΔ/ε)`.
 
 use crate::answers::QueryAnswers;
+use crate::draw::{DrawProvider, RngDraws};
 use crate::error::{laplace_noise, require_epsilon, require_positive, MechanismError};
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape, SamplingSource};
+use free_gap_alignment::{AlignedMechanism, NoiseTape, TapeSource};
 use free_gap_noise::{Laplace, Noise};
 use rand::rngs::StdRng;
 
@@ -22,8 +23,7 @@ pub struct LaplaceMechanism {
 
 impl LaplaceMechanism {
     /// Creates the mechanism with budget `epsilon` for one sensitivity-1
-    /// query (or a vector measured under *parallel* per-query budgets — see
-    /// [`measure_each`](Self::measure_each)).
+    /// query.
     pub fn new(epsilon: f64) -> Result<Self, MechanismError> {
         let epsilon = require_epsilon(epsilon)?;
         Ok(Self {
@@ -54,28 +54,20 @@ impl LaplaceMechanism {
         2.0 * self.scale() * self.scale()
     }
 
-    /// Measures every answer with the *full* budget per query — correct when
-    /// the queries are answered on disjoint data (parallel composition) or
-    /// when `self.epsilon` is already the per-query share.
-    pub fn measure_each(&self, answers: &[f64], source: &mut dyn NoiseSource) -> Vec<f64> {
-        let noise = Noise::Laplace(self.noise);
-        answers.iter().map(|a| a + source.draw(&noise)).collect()
-    }
-
     /// Sequential-composition measurement: splits `self.epsilon` evenly over
     /// the `answers`, adding `Lap(kΔ/ε)` to each (the §5.2 protocol).
     ///
     /// # Errors
     /// [`MechanismError::InvalidEpsilon`] when the split scale `kΔ/ε`
     /// overflows.
-    pub fn measure_split(
+    pub fn measure_split<P: DrawProvider>(
         &self,
         answers: &[f64],
-        source: &mut dyn NoiseSource,
+        provider: &mut P,
     ) -> Result<Vec<f64>, MechanismError> {
         let k = answers.len().max(1) as f64;
         let noise = Noise::Laplace(laplace_noise(self.epsilon, self.scale() * k)?);
-        Ok(answers.iter().map(|a| a + source.draw(&noise)).collect())
+        Ok(answers.iter().map(|a| a + provider.next(noise)).collect())
     }
 
     /// Variance of each [`measure_split`](Self::measure_split) output for a
@@ -85,14 +77,13 @@ impl LaplaceMechanism {
         2.0 * s * s
     }
 
-    /// Convenience wrapper over [`measure_split`](Self::measure_split) with a
-    /// plain RNG.
+    /// Convenience wrapper over [`measure_split`](Self::measure_split)
+    /// through [`RngDraws`] on a plain RNG.
     ///
     /// # Errors
     /// As [`measure_split`](Self::measure_split).
     pub fn run(&self, answers: &[f64], rng: &mut StdRng) -> Result<Vec<f64>, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        self.measure_split(answers, &mut source)
+        self.measure_split(answers, &mut RngDraws::new(rng))
     }
 }
 
@@ -102,7 +93,7 @@ impl AlignedMechanism for LaplaceMechanism {
     type Input = QueryAnswers;
     type Output = Vec<f64>;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> Vec<f64> {
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> Vec<f64> {
         #[allow(clippy::expect_used)]
         self.measure_split(input.values(), source)
             // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path

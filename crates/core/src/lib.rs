@@ -44,20 +44,21 @@
 //! [`api::QuerySlice`] in, a coercible [`api::MechanismOutput`] out. The
 //! execution path is the caller's choice of provider:
 //!
-//! * [`draw::SourceDraws`] — the adapter over `dyn NoiseSource`. This is
-//!   the path the alignment checker interposes on (recording and
-//!   replaying tapes) and the reference semantics; it is strictly
-//!   draw-exact, so tapes stay draw-for-draw faithful.
-//! * [`draw::RngDraws`] (Top-K family, exponential race) and
-//!   [`draw::ScratchDraws`] (SVT family, staircase) — the batched fast
-//!   paths for Monte-Carlo and high-traffic serving. Noise is drawn in
-//!   batches (through the chunked [`free_gap_noise::BlockBuffer`] for
-//!   `ScratchDraws`), noisy-value buffers live in a reusable
+//! * [`free_gap_alignment::TapeSource`] — the alignment checker's
+//!   record/replay tape, a provider through the impl in [`draw`]. It is
+//!   strictly draw-exact, one draw per request, so tapes stay
+//!   draw-for-draw faithful. `DrawProvider` is the only draw trait in the
+//!   workspace.
+//! * [`draw::RngDraws`] (the reference path, Top-K family, exponential
+//!   race) and [`draw::ScratchDraws`] (SVT family, staircase) — the
+//!   batched fast paths for Monte-Carlo and high-traffic serving. Noise is
+//!   drawn in batches (through the chunked [`free_gap_noise::BlockBuffer`]
+//!   for `ScratchDraws`), noisy-value buffers live in a reusable
 //!   [`scratch::TopKScratch`] / [`scratch::SvtScratch`], and the RNG is a
 //!   monomorphic generic (no virtual dispatch). Outputs are **bit-for-bit
-//!   identical** to the reference on the same RNG stream; `ScratchDraws`
-//!   may consume *more* of the stream (batch lookahead), so derive a fresh
-//!   [`free_gap_noise::rng::derive_stream`] per run.
+//!   identical** to a recording `TapeSource` on the same RNG stream;
+//!   `ScratchDraws` may consume *more* of the stream (batch lookahead), so
+//!   derive a fresh [`free_gap_noise::rng::derive_stream`] per run.
 //! * [`draw::ParallelDraws`] — per-block sub-streams filled from scoped
 //!   threads, bit-identical for any thread count.
 //!
@@ -65,7 +66,7 @@
 //! dispatch enum with the provider-choosing conveniences
 //! [`api::AnyMechanism::call_batched`] (fast path),
 //! [`api::AnyMechanism::call_par`] (parallel path) and
-//! [`api::AnyMechanism::call_reference`] (dyn reference path) — the
+//! [`api::AnyMechanism::call_reference`] (reference path) — the
 //! surface the benchmark grid and the `free-gap-serve` multi-tenant server
 //! build on. Two shapes sit beside `call`:
 //!
@@ -138,6 +139,6 @@ pub mod staircase_mech;
 pub use answers::QueryAnswers;
 pub use api::{AnyMechanism, CallScratch, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice};
 pub use budget::PrivacyBudget;
-pub use draw::{DrawProvider, RngDraws, ScratchDraws, SourceDraws};
+pub use draw::{DrawProvider, RngDraws, ScratchDraws};
 pub use error::MechanismError;
 pub use scratch::{SvtScratch, TopKScratch};

@@ -9,10 +9,10 @@
 
 use super::top_k_scale;
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, SourceDraws};
+use crate::draw::DrawProvider;
 use crate::error::{laplace_noise, require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_alignment::{AlignedMechanism, NoiseTape, TapeSource};
 use free_gap_noise::{Laplace, Noise};
 
 /// Index-only Noisy Top-K (Dwork & Roth's Noisy Max generalized to `k`).
@@ -86,17 +86,12 @@ impl AlignedMechanism for ClassicNoisyTopK {
     type Input = QueryAnswers;
     type Output = Vec<usize>;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> Vec<usize> {
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> Vec<usize> {
         let mut out = Vec::new();
         #[allow(clippy::expect_used)]
-        self.run_core(
-            input.values(),
-            &mut SourceDraws::new(source),
-            &mut TopKScratch::new(),
-            &mut out,
-        )
-        // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
-        .expect("alignment checker workloads are pre-validated");
+        self.run_core(input.values(), source, &mut TopKScratch::new(), &mut out)
+            // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
+            .expect("alignment checker workloads are pre-validated");
         out
     }
 

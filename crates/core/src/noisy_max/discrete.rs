@@ -17,11 +17,11 @@
 //!   because adjacent integer workloads differ by integers.
 
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, SourceDraws};
+use crate::draw::DrawProvider;
 use crate::error::{discrete_noise, require_epsilon, require_positive, MechanismError};
 use crate::noisy_max::{TopKItem, TopKOutput};
 use crate::scratch::TopKScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_alignment::{AlignedMechanism, NoiseTape, TapeSource};
 use free_gap_noise::tie::union_tie_bound;
 use free_gap_noise::Noise;
 
@@ -140,17 +140,12 @@ impl AlignedMechanism for DiscreteNoisyTopKWithGap {
     type Input = QueryAnswers;
     type Output = TopKOutput;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> TopKOutput {
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> TopKOutput {
         let mut out = TopKOutput { items: Vec::new() };
         #[allow(clippy::expect_used)]
-        self.run_core(
-            input.values(),
-            &mut SourceDraws::new(source),
-            &mut TopKScratch::new(),
-            &mut out,
-        )
-        // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
-        .expect("alignment checker workloads are pre-validated");
+        self.run_core(input.values(), source, &mut TopKScratch::new(), &mut out)
+            // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
+            .expect("alignment checker workloads are pre-validated");
         out
     }
 

@@ -14,10 +14,10 @@
 
 use super::top_k_scale;
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, RngDraws, SourceDraws};
+use crate::draw::{DrawProvider, RngDraws};
 use crate::error::{laplace_noise, require_epsilon, MechanismError};
 use crate::scratch::TopKScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_alignment::{AlignedMechanism, NoiseTape, TapeSource};
 use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
@@ -158,20 +158,15 @@ impl AlignedMechanism for NoisyTopKWithGap {
     type Input = QueryAnswers;
     type Output = TopKOutput;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> TopKOutput {
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> TopKOutput {
         // The alignment checker's trait is infallible by design (it replays
         // recorded tapes, so the workload was already validated on the
         // recording run); a short workload here is a checker-harness bug.
         let mut out = TopKOutput { items: Vec::new() };
         #[allow(clippy::expect_used)]
-        self.run_core(
-            input.values(),
-            &mut SourceDraws::new(source),
-            &mut TopKScratch::new(),
-            &mut out,
-        )
-        // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
-        .expect("alignment checker workloads are pre-validated");
+        self.run_core(input.values(), source, &mut TopKScratch::new(), &mut out)
+            // lint:allow(panic-freedom): checker replays pre-validated workloads; not a serving path
+            .expect("alignment checker workloads are pre-validated");
         out
     }
 

@@ -94,8 +94,9 @@ fn select_top_k<P: DrawProvider>(
 ///
 /// Selection and measurement draw through the *same* provider in order
 /// (`n` selection draws, then `k` measurement draws). The Top-K draw count
-/// is data-independent, so every draw-exact provider ([`SourceDraws`](crate::draw::SourceDraws),
-/// [`RngDraws`]) gives bit-identical results on the same RNG stream.
+/// is data-independent, so every draw-exact provider ([`RngDraws`], the
+/// alignment checker's `TapeSource`) gives bit-identical results on the
+/// same RNG stream.
 pub fn topk_select_measure<P: DrawProvider>(
     answers: &QueryAnswers,
     k: usize,
@@ -282,22 +283,20 @@ pub fn svt_select_measure<P: DrawProvider>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::draw::{ScratchDraws, SourceDraws};
+    use crate::draw::{RngDraws, ScratchDraws};
     use crate::scratch::SvtScratch;
-    use free_gap_alignment::SamplingSource;
     use free_gap_noise::rng::rng_from_seed;
     use free_gap_noise::stats::RunningMoments;
     use rand::rngs::StdRng;
 
-    /// The §5.2 protocol on the dyn reference path.
+    /// The §5.2 protocol on the reference path.
     fn topk_dyn(
         answers: &QueryAnswers,
         k: usize,
         epsilon: f64,
         rng: &mut StdRng,
     ) -> Result<TopKPipelineResult, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        let mut provider = SourceDraws::new(&mut source);
+        let mut provider = RngDraws::new(rng);
         topk_select_measure(
             answers,
             k,
@@ -314,12 +313,11 @@ mod tests {
         epsilon: f64,
         rng: &mut StdRng,
     ) -> Result<TopKPipelineResult, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        let mut provider = SourceDraws::new(&mut source);
+        let mut provider = RngDraws::new(rng);
         topk_select_measure_staircase(answers, k, epsilon, &mut provider, &mut TopKScratch::new())
     }
 
-    /// The §6.2 protocol on the dyn reference path: measurements drawn
+    /// The §6.2 protocol on the reference path: measurements drawn
     /// through the selection provider, continuing its stream.
     fn svt_dyn(
         answers: &QueryAnswers,
@@ -328,8 +326,7 @@ mod tests {
         threshold: f64,
         rng: &mut StdRng,
     ) -> Result<SvtPipelineResult, MechanismError> {
-        let mut source = SamplingSource::new(rng);
-        let mut provider = SourceDraws::new(&mut source);
+        let mut provider = RngDraws::new(rng);
         svt_select_measure(
             answers,
             k,

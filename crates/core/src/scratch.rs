@@ -1,12 +1,12 @@
 //! Reusable scratch buffers for the allocation-free mechanism fast paths.
 //!
-//! The reference provider, [`SourceDraws`](crate::draw::SourceDraws), draws
-//! noise through `dyn NoiseSource` — one virtual call and one
-//! distribution construction per draw. That is the right shape for the
-//! alignment checker (which must interpose on every draw), but it is pure
-//! overhead for Monte-Carlo loops that execute the same mechanism tens of
-//! thousands of times on workloads with up to ~100k queries (§7 of the
-//! paper).
+//! The reference path ([`call_reference`](crate::api::AnyMechanism::call_reference))
+//! allocates fresh output and selection buffers on every call, and the
+//! alignment checker's `TapeSource` serves one draw per request and
+//! records each one. That is the right shape for one-off calls and for the
+//! checker (which must interpose on every draw), but it is pure overhead
+//! for Monte-Carlo loops that execute the same mechanism tens of thousands
+//! of times on workloads with up to ~100k queries (§7 of the paper).
 //!
 //! The fast providers feed the same mechanism core
 //! ([`Mechanism::call`](crate::api::Mechanism::call)) with the buffers

@@ -25,10 +25,10 @@
 
 use super::{optimal_threshold_share, AdaptiveOutcome, AdaptiveSvOutput, Branch};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, ScratchDraws};
 use crate::error::{laplace_noise, require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_alignment::{AlignedMechanism, NoiseTape, TapeSource};
 use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
@@ -171,7 +171,7 @@ impl AdaptiveSparseVector {
 
     /// The effective answer cap shared by every execution path
     /// (`usize::MAX` when no limit is configured). One definition — the
-    /// dyn, scratch and streaming paths all stop via `answered <
+    /// reference, scratch and streaming paths all stop via `answered <
     /// answer_cap()`, so the limit semantics cannot silently drift between
     /// them.
     fn answer_cap(&self) -> usize {
@@ -297,20 +297,16 @@ impl AlignedMechanism for AdaptiveSparseVector {
     type Input = QueryAnswers;
     type Output = AdaptiveSvOutput;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> AdaptiveSvOutput {
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> AdaptiveSvOutput {
         let mut out = AdaptiveSvOutput {
             outcomes: Vec::new(),
             spent: 0.0,
             epsilon: self.epsilon,
         };
         #[allow(clippy::expect_used)]
-        self.run_core(
-            input.values().iter().copied(),
-            &mut SourceDraws::new(source),
-            &mut out,
-        )
-        // lint:allow(panic-freedom): the constructor validated the noise this run rebuilds; checker path, not a serving path
-        .expect("noise validated at construction");
+        self.run_core(input.values().iter().copied(), source, &mut out)
+            // lint:allow(panic-freedom): the constructor validated the noise this run rebuilds; checker path, not a serving path
+            .expect("noise validated at construction");
         out
     }
 

@@ -51,17 +51,17 @@
 //! is the batched fast path over [`SvtScratch`] — the `free-gap-attack`
 //! Monte-Carlo harness's only way in, hammering the zoo at full
 //! scratch-path speed with deterministic derived sub-streams — and the
-//! variants the alignment checker audits also run the draw-exact dyn path
-//! through `AlignedMechanism::run`. Both are bit-identical on the same RNG
+//! variants the alignment checker audits also run the draw-exact record and
+//! replay path through `AlignedMechanism::run`. Both are bit-identical on the same RNG
 //! stream. The zoo deliberately does not implement
 //! [`Mechanism`](crate::api::Mechanism): it must never join the
 //! equivalence suite or the bench grid as if it were a serving mechanism.
 use super::SvOutput;
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, ScratchDraws};
 use crate::error::{laplace_noise, require_epsilon, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_alignment::{AlignedMechanism, NoiseTape, TapeSource};
 use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
@@ -161,9 +161,9 @@ impl AlignedMechanism for NoisyValueSvt {
     type Input = QueryAnswers;
     type Output = NoisyValueOutput;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> NoisyValueOutput {
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> NoisyValueOutput {
         let mut out = Vec::new();
-        self.run_core(input, &mut SourceDraws::new(source), &mut out);
+        self.run_core(input, source, &mut out);
         out
     }
 
@@ -298,9 +298,9 @@ impl AlignedMechanism for UnscaledNoiseSvt {
     type Input = QueryAnswers;
     type Output = SvOutput;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> SvOutput {
         let mut out = SvOutput { above: Vec::new() };
-        self.run_core(input, &mut SourceDraws::new(source), &mut out);
+        self.run_core(input, source, &mut out);
         out
     }
 
@@ -561,11 +561,12 @@ impl UnboundedCountSvt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::draw::RngDraws;
     use crate::sparse_vector::{ClassicSparseVector, SparseVectorWithGap};
     use free_gap_alignment::checker::check_alignment;
     use free_gap_alignment::empirical::empirical_epsilon;
     use free_gap_alignment::AlignmentError;
-    use free_gap_alignment::SamplingSource;
+    use free_gap_alignment::TapeSource;
     use free_gap_noise::rng::rng_from_seed;
     use rand::rngs::StdRng;
 
@@ -579,14 +580,13 @@ mod tests {
         assert!(UnboundedCountSvt::new(0.0, 0.0).is_err());
     }
 
-    /// The draw-exact dyn path: a variant's private core through
-    /// [`SourceDraws`] on `rng_from_seed(seed)`, into a fresh `$out`.
-    macro_rules! dyn_run {
+    /// The draw-exact reference path: a variant's private core through
+    /// [`RngDraws`] on `rng_from_seed(seed)`, into a fresh `$out`.
+    macro_rules! ref_run {
         ($m:expr, $answers:expr, $seed:expr, $out:expr) => {{
             let mut rng = rng_from_seed($seed);
-            let mut source = SamplingSource::new(&mut rng);
             let mut out = $out;
-            $m.run_core($answers, &mut SourceDraws::new(&mut source), &mut out);
+            $m.run_core($answers, &mut RngDraws::new(&mut rng), &mut out);
             out
         }};
     }
@@ -597,7 +597,7 @@ mod tests {
 
     #[test]
     fn scratch_paths_are_bit_identical_to_run() {
-        // Every zoo variant's scratch fast path must replay the dyn path's
+        // Every zoo variant's scratch fast path must replay the reference path's
         // exact outputs on the same RNG stream — the property the attack
         // harness's Monte-Carlo loops rely on. The scratch and output
         // buffers are reused across seeds, which also pins `_into`'s
@@ -613,22 +613,22 @@ mod tests {
                 &mut scratch,
                 &mut nv_out,
             );
-            let expect = dyn_run!(nv, &answers, seed, Vec::new());
+            let expect = ref_run!(nv, &answers, seed, Vec::new());
             assert_eq!(nv_out, expect, "NoisyValueSvt diverged at seed {seed}");
 
             let un = UnscaledNoiseSvt::new(3, 0.8, 10.0).unwrap();
             un.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut out);
-            let expect = dyn_run!(un, &answers, seed, sv());
+            let expect = ref_run!(un, &answers, seed, sv());
             assert_eq!(out, expect, "UnscaledNoiseSvt diverged at seed {seed}");
 
             let nq = NoQueryNoiseSvt::new(0.8, 10.0).unwrap();
             nq.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut out);
-            let expect = dyn_run!(nq, &answers, seed, sv());
+            let expect = ref_run!(nq, &answers, seed, sv());
             assert_eq!(out, expect, "NoQueryNoiseSvt diverged at seed {seed}");
 
             let bm = BudgetMisallocationSvt::new(2, 0.8, 10.0).unwrap();
             bm.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut out);
-            let expect = dyn_run!(bm, &answers, seed, sv());
+            let expect = ref_run!(bm, &answers, seed, sv());
             assert_eq!(
                 out, expect,
                 "BudgetMisallocationSvt diverged at seed {seed}"
@@ -636,7 +636,7 @@ mod tests {
 
             let ub = UnboundedCountSvt::new(0.8, 10.0).unwrap();
             ub.run_with_scratch_into(&answers, &mut rng_from_seed(seed), &mut scratch, &mut out);
-            let expect = dyn_run!(ub, &answers, seed, sv());
+            let expect = ref_run!(ub, &answers, seed, sv());
             assert_eq!(out, expect, "UnboundedCountSvt diverged at seed {seed}");
         }
     }
@@ -648,7 +648,7 @@ mod tests {
         // exceed any fixed k.
         let m = UnboundedCountSvt::new(100.0, 0.0).unwrap();
         let answers = QueryAnswers::general(vec![5.0; 200]);
-        let out = dyn_run!(m, &answers, 1, sv());
+        let out = ref_run!(m, &answers, 1, sv());
         assert_eq!(out.processed(), 200);
         assert!(out.answered() > 100, "answered {}", out.answered());
         assert!((m.true_epsilon_for(out.answered())) > m.claimed_epsilon());
@@ -762,11 +762,7 @@ mod tests {
         let run = |answers: &[f64], rng: &mut StdRng| {
             let mut out = sv();
             let answers = QueryAnswers::general(answers.to_vec());
-            mech.run_core(
-                &answers,
-                &mut SourceDraws::new(&mut SamplingSource::new(rng)),
-                &mut out,
-            );
+            mech.run_core(&answers, &mut RngDraws::new(rng), &mut out);
             out.above.iter().map(|o| o.is_some()).collect::<Vec<bool>>()
         };
         let mut d: Vec<f64> = (0..16).map(|i| 10.0 + (i as f64 - 8.0) * 0.5).collect();
@@ -795,7 +791,7 @@ mod tests {
             AlignedMechanism::run(
                 &mech,
                 &QueryAnswers::general(answers.to_vec()),
-                &mut SamplingSource::new(rng),
+                &mut TapeSource::record(rng),
             )
             .above
             .iter()

@@ -9,10 +9,10 @@
 
 use super::{optimal_threshold_share, SvOutput};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, ScratchDraws};
 use crate::error::{laplace_noise, require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_alignment::{AlignedMechanism, NoiseTape, TapeSource};
 use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
@@ -256,24 +256,6 @@ impl ClassicSparseVector {
         self.stream_step_core(state, query, &mut ScratchDraws::new(scratch, rng), false)
     }
 
-    /// Materialized dyn-source entry: [`run_core`](Self::run_core) through
-    /// the [`SourceDraws`] adapter.
-    pub(crate) fn run_impl(
-        &self,
-        answers: &QueryAnswers,
-        source: &mut dyn NoiseSource,
-        release_gaps: bool,
-    ) -> SvOutput {
-        let mut out = SvOutput { above: Vec::new() };
-        self.run_core(
-            answers.values().iter().copied(),
-            &mut SourceDraws::new(source),
-            release_gaps,
-            &mut out,
-        );
-        out
-    }
-
     /// The lazy streaming entry: the decision loop through
     /// [`ScratchDraws`] over `queries`, answering each query as it is
     /// pulled and stopping the pull the moment the `k`-th `⊤` is answered
@@ -325,8 +307,10 @@ impl AlignedMechanism for ClassicSparseVector {
     type Input = QueryAnswers;
     type Output = SvOutput;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        self.run_impl(input, source, false)
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> SvOutput {
+        let mut out = SvOutput { above: Vec::new() };
+        self.run_core(input.values().iter().copied(), source, false, &mut out);
+        out
     }
 
     fn align(

@@ -14,10 +14,10 @@
 
 use super::{optimal_threshold_share, SvOutput};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, ScratchDraws};
 use crate::error::{discrete_noise, require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_alignment::{AlignedMechanism, NoiseTape, TapeSource};
 use free_gap_noise::{DiscreteLaplace, Noise};
 use rand::Rng;
 
@@ -206,16 +206,12 @@ impl AlignedMechanism for DiscreteSparseVectorWithGap {
     type Output = SvOutput;
 
     /// Released gaps are exact lattice multiples.
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> SvOutput {
         let mut out = SvOutput { above: Vec::new() };
         #[allow(clippy::expect_used)]
-        self.run_core(
-            input.values().iter().copied(),
-            &mut SourceDraws::new(source),
-            &mut out,
-        )
-        // lint:allow(panic-freedom): the constructor validated the noise this run rebuilds; checker path, not a serving path
-        .expect("noise validated at construction");
+        self.run_core(input.values().iter().copied(), source, &mut out)
+            // lint:allow(panic-freedom): the constructor validated the noise this run rebuilds; checker path, not a serving path
+            .expect("noise validated at construction");
         out
     }
 

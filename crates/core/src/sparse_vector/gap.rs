@@ -12,7 +12,7 @@ use crate::answers::QueryAnswers;
 use crate::draw::{DrawProvider, ScratchDraws};
 use crate::error::MechanismError;
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_alignment::{AlignedMechanism, NoiseTape, TapeSource};
 use rand::Rng;
 
 /// Sparse-Vector-with-Gap.
@@ -128,8 +128,11 @@ impl AlignedMechanism for SparseVectorWithGap {
     type Input = QueryAnswers;
     type Output = SvOutput;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> SvOutput {
-        self.inner.run_impl(input, source, true)
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> SvOutput {
+        let mut out = SvOutput { above: Vec::new() };
+        self.inner
+            .run_core(input.values().iter().copied(), source, true, &mut out);
+        out
     }
 
     /// The same alignment as classic SVT: Wang et al.'s observation is that

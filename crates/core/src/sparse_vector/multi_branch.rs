@@ -21,10 +21,10 @@
 
 use super::{optimal_threshold_share, Branch};
 use crate::answers::QueryAnswers;
-use crate::draw::{DrawProvider, ScratchDraws, SourceDraws};
+use crate::draw::{DrawProvider, ScratchDraws};
 use crate::error::{laplace_noise, require_epsilon, require_fraction, MechanismError};
 use crate::scratch::SvtScratch;
-use free_gap_alignment::{AlignedMechanism, NoiseSource, NoiseTape};
+use free_gap_alignment::{AlignedMechanism, NoiseTape, TapeSource};
 use free_gap_noise::{Laplace, Noise};
 use rand::Rng;
 
@@ -313,20 +313,16 @@ impl AlignedMechanism for MultiBranchAdaptiveSparseVector {
     type Input = QueryAnswers;
     type Output = MultiBranchSvOutput;
 
-    fn run(&self, input: &QueryAnswers, source: &mut dyn NoiseSource) -> MultiBranchSvOutput {
+    fn run(&self, input: &QueryAnswers, source: &mut TapeSource<'_>) -> MultiBranchSvOutput {
         let mut out = MultiBranchSvOutput {
             outcomes: Vec::new(),
             spent: 0.0,
             epsilon: self.epsilon,
         };
         #[allow(clippy::expect_used)]
-        self.run_core(
-            input.values().iter().copied(),
-            &mut SourceDraws::new(source),
-            &mut out,
-        )
-        // lint:allow(panic-freedom): the constructor validated the noise this run rebuilds; checker path, not a serving path
-        .expect("noise validated at construction");
+        self.run_core(input.values().iter().copied(), source, &mut out)
+            // lint:allow(panic-freedom): the constructor validated the noise this run rebuilds; checker path, not a serving path
+            .expect("noise validated at construction");
         out
     }
 

@@ -1,7 +1,9 @@
 //! Pins the unified call surface (`free_gap_core::api`):
 //!
 //! * `call_reference` and `call_batched` reproduce the reference provider
-//!   call (`Mechanism::call` through `SourceDraws`) bit for bit;
+//!   call (`Mechanism::call` through a recording `TapeSource`) bit for bit;
+//! * a call recorded onto a tape replays from it bit for bit, for every
+//!   grid mechanism;
 //! * names and costs — what the bench grid and the serving ledger key on —
 //!   are stable;
 //! * the resumable streaming SVT (`stream_open`/`stream_feed`) is
@@ -12,7 +14,7 @@
 //! and the lazy streaming entries to the reference) this makes the call
 //! surface a pure re-packaging: no mechanism's served distribution changes.
 
-use free_gap_alignment::SamplingSource;
+use free_gap_alignment::TapeSource;
 use free_gap_core::api::{
     AnyMechanism, CallScratch, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice,
 };
@@ -24,7 +26,7 @@ use free_gap_core::sparse_vector::{
     MultiBranchAdaptiveSparseVector, SparseVectorWithGap, SvOutput,
 };
 use free_gap_core::staircase_mech::StaircaseMechanism;
-use free_gap_core::{MechanismError, SourceDraws, SvtScratch, TopKScratch};
+use free_gap_core::{MechanismError, SvtScratch, TopKScratch};
 use free_gap_noise::rng::{derive_fast_stream, derive_stream};
 
 fn values() -> Vec<f64> {
@@ -53,10 +55,10 @@ fn grid() -> Vec<AnyMechanism> {
     ]
 }
 
-/// `call_reference` is `Mechanism::call` through `SourceDraws`, and
+/// `call_reference` is `Mechanism::call` through `RngDraws`, and
 /// `call_batched` picks each mechanism's fast provider (`RngDraws` or the
 /// `ScratchDraws` tape): on the same `StdRng` stream both must reproduce
-/// the reference provider call bit for bit.
+/// the per-draw recording `TapeSource` call bit for bit.
 #[test]
 fn call_reference_and_call_batched_match_the_reference_provider() {
     let vals = values();
@@ -70,10 +72,9 @@ fn call_reference_and_call_batched_match_the_reference_provider() {
         for seed in 0..20u64 {
             let mut expect = MechanismOutput::new_for(&mech);
             let mut rng = derive_stream(seed, 0);
-            let mut source = SamplingSource::new(&mut rng);
             mech.call(
                 &req,
-                &mut SourceDraws::new(&mut source),
+                &mut TapeSource::record(&mut rng),
                 &mut TopKScratch::new(),
                 &mut expect,
             )
@@ -95,6 +96,41 @@ fn call_reference_and_call_batched_match_the_reference_provider() {
                 "{} seed {seed}",
                 mech.name()
             );
+        }
+    }
+}
+
+/// Recording a call onto a tape and replaying the tape reproduces the call
+/// bit for bit and consumes the tape exactly — for every grid mechanism,
+/// including the exponential race and the staircase, which implement no
+/// `AlignedMechanism` and so are never replayed by the alignment checker.
+#[test]
+fn recorded_tape_replays_bit_identically_through_call() {
+    let vals = values();
+    let req = QuerySlice::new(&vals);
+    for mech in grid() {
+        for seed in 0..20u64 {
+            let mut rng = derive_stream(seed, 0);
+            let mut recorder = TapeSource::record(&mut rng);
+            let mut recorded = MechanismOutput::new_for(&mech);
+            mech.call(&req, &mut recorder, &mut TopKScratch::new(), &mut recorded)
+                .unwrap();
+            let tape = recorder.into_tape();
+            assert!(!tape.is_empty(), "{} seed {seed}: no draws", mech.name());
+            let mut replay = TapeSource::replay(tape);
+            let mut replayed = MechanismOutput::new_for(&mech);
+            mech.call(&req, &mut replay, &mut TopKScratch::new(), &mut replayed)
+                .unwrap();
+            assert_eq!(replayed, recorded, "{} seed {seed}", mech.name());
+            assert_eq!(
+                replayed.digest(0),
+                recorded.digest(0),
+                "{} seed {seed}",
+                mech.name()
+            );
+            assert!(replay.fully_consumed(), "{} seed {seed}", mech.name());
+            assert_eq!(replay.overrun(), 0, "{} seed {seed}", mech.name());
+            assert_eq!(replay.mismatch(), None, "{} seed {seed}", mech.name());
         }
     }
 }

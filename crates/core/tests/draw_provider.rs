@@ -3,9 +3,9 @@
 //! bit-identical to a sequential sampling loop over the requested noise
 //! specs on the same RNG stream.
 //!
-//! The proptest drives the dyn adapter ([`SourceDraws`]), the blocked
-//! scratch provider ([`ScratchDraws`]) and the draw-exact monomorphic
-//! provider ([`RngDraws`]) through **random interleavings** of every draw
+//! The proptest drives the alignment checker's recording [`TapeSource`],
+//! the blocked scratch provider ([`ScratchDraws`]) and the draw-exact
+//! monomorphic provider ([`RngDraws`]) through **random interleavings** of every draw
 //! shape — single `next()`, `peek()` of Algorithm 2's pairs and of
 //! `m`-tuples, and `fill()` — over every noise family (continuous and
 //! discrete Laplace, Gumbel, Exponential, staircase; single-family tuples
@@ -18,8 +18,8 @@
 //! provider's raw-uniform tape exists for: a continuous and a discrete draw
 //! must come out of the *same* buffered stream in sequential order.
 
-use free_gap_alignment::SamplingSource;
-use free_gap_core::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws, SourceDraws};
+use free_gap_alignment::TapeSource;
+use free_gap_core::draw::{DrawProvider, ParallelDraws, RngDraws, ScratchDraws};
 use free_gap_core::SvtScratch;
 use free_gap_noise::rng::{derive_fast_stream, rng_from_seed};
 use free_gap_noise::{
@@ -224,8 +224,8 @@ proptest! {
 
     /// Any interleaving of the draw shapes and noise families consumes
     /// the underlying RNG stream in sequential order on every provider, and
-    /// the dyn adapter consumes it in exactly the same order as the scratch
-    /// provider.
+    /// the recording tape source consumes it in exactly the same order as
+    /// the scratch provider.
     #[test]
     fn interleavings_serve_identical_streams(
         ops_seed in 0u64..1_000_000,
@@ -236,10 +236,9 @@ proptest! {
         // Per-provider invariant: consumed draws == sequential sampling at
         // the consumed scales (providers may differ in how many tuples they
         // expose per peek, so each is checked against its own consumption).
-        let mut dyn_rng = rng_from_seed(seed);
-        let mut source = SamplingSource::new(&mut dyn_rng);
-        let dyn_served = serve(&ops, &mut SourceDraws::new(&mut source));
-        assert_sequential("dyn adapter", &dyn_served, seed);
+        let mut tape_rng = rng_from_seed(seed);
+        let tape_served = serve(&ops, &mut TapeSource::record(&mut tape_rng));
+        assert_sequential("tape source", &tape_served, seed);
 
         let mut plain_rng = rng_from_seed(seed);
         let plain_served = serve(&ops, &mut RngDraws::new(&mut plain_rng));
@@ -253,25 +252,24 @@ proptest! {
 
         // The two draw-exact providers consume identically: element-wise
         // bit equality.
-        prop_assert_eq!(dyn_served.len(), plain_served.len());
-        for (i, (a, b)) in dyn_served.iter().zip(&plain_served).enumerate() {
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "dyn vs rng, draw {i}");
+        prop_assert_eq!(tape_served.len(), plain_served.len());
+        for (i, (a, b)) in tape_served.iter().zip(&plain_served).enumerate() {
+            assert_eq!(a.1.to_bits(), b.1.to_bits(), "tape vs rng, draw {i}");
         }
 
         // With multi-tuple consumption disabled every provider consumes the
-        // same draws — the dyn↔scratch order equivalence, element for
+        // same draws — the tape↔scratch order equivalence, element for
         // element.
         let single_ops: Vec<Op> = ops.iter().map(Op::single).collect();
-        let mut dyn_rng = rng_from_seed(seed);
-        let mut source = SamplingSource::new(&mut dyn_rng);
-        let dyn_single = serve(&single_ops, &mut SourceDraws::new(&mut source));
+        let mut tape_rng = rng_from_seed(seed);
+        let tape_single = serve(&single_ops, &mut TapeSource::record(&mut tape_rng));
         let mut scratch = SvtScratch::new();
         let mut scratch_rng = rng_from_seed(seed);
         let scratch_single =
             serve(&single_ops, &mut ScratchDraws::new(&mut scratch, &mut scratch_rng));
-        prop_assert_eq!(dyn_single.len(), scratch_single.len());
-        for (i, (a, b)) in dyn_single.iter().zip(&scratch_single).enumerate() {
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "dyn vs scratch, draw {i}");
+        prop_assert_eq!(tape_single.len(), scratch_single.len());
+        for (i, (a, b)) in tape_single.iter().zip(&scratch_single).enumerate() {
+            assert_eq!(a.1.to_bits(), b.1.to_bits(), "tape vs scratch, draw {i}");
         }
     }
 

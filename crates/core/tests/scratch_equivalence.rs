@@ -3,9 +3,10 @@
 //! caller hands in. On an identically seeded stream every path must produce
 //! **bit-for-bit** the same output:
 //!
-//! * `SourceDraws` (the dyn `NoiseSource` reference the alignment checker
-//!   interposes on) vs `RngDraws` (batched, draw-exact) vs `ScratchDraws`
-//!   (the blocked noise tape, with lookahead);
+//! * the recording `TapeSource` (the alignment checker's tape: one
+//!   per-draw sample per request, never a batched fill) vs `RngDraws`
+//!   (batched, draw-exact) vs `ScratchDraws` (the blocked noise tape, with
+//!   lookahead);
 //! * a query slice through `call` vs the lazy
 //!   `*_streaming_with_scratch_into` entry over an iterator of the same
 //!   queries.
@@ -22,7 +23,7 @@
 //! query is ever pulled from the stream — asserted with iterators that
 //! panic when over-consumed.
 
-use free_gap_alignment::SamplingSource;
+use free_gap_alignment::TapeSource;
 use free_gap_core::exponential_mech::ExponentialMechanism;
 use free_gap_core::noisy_max::{ClassicNoisyTopK, DiscreteNoisyTopKWithGap, NoisyTopKWithGap};
 use free_gap_core::sparse_vector::{
@@ -32,7 +33,7 @@ use free_gap_core::sparse_vector::{
 use free_gap_core::staircase_mech::StaircaseMechanism;
 use free_gap_core::{
     ExponentialTopK, Mechanism, MechanismOutput, QueryAnswers, QuerySlice, RngDraws, ScratchDraws,
-    SourceDraws, SvtScratch, TopKScratch,
+    SvtScratch, TopKScratch,
 };
 use free_gap_noise::rng::derive_stream;
 use proptest::prelude::*;
@@ -91,14 +92,14 @@ fn integer_workload(seed: u64, n: usize) -> QueryAnswers {
     )
 }
 
-/// One `Mechanism::call` through the reference provider, `SourceDraws`
-/// over a `SamplingSource` on `rng`.
-fn via_source<M: Mechanism>(m: &M, answers: &QueryAnswers, rng: &mut StdRng) -> MechanismOutput {
-    let mut source = SamplingSource::new(rng);
+/// One `Mechanism::call` through the reference provider, a recording
+/// `TapeSource` on `rng`. Its `fill` is the trait's per-draw loop, so the
+/// batched `RngDraws` fill is compared against an independent sampler.
+fn via_tape<M: Mechanism>(m: &M, answers: &QueryAnswers, rng: &mut StdRng) -> MechanismOutput {
     let mut out = MechanismOutput::Indices(Vec::new());
     m.call(
         &QuerySlice::from_answers(answers),
-        &mut SourceDraws::new(&mut source),
+        &mut TapeSource::record(rng),
         &mut TopKScratch::new(),
         &mut out,
     )
@@ -113,7 +114,7 @@ fn assert_bits_eq(expect: &MechanismOutput, got: &MechanismOutput, what: &str) {
     assert_eq!(expect.digest(0), got.digest(0), "{what}: bits differ");
 }
 
-/// Asserts that `RngDraws` and `ScratchDraws` reproduce the `SourceDraws`
+/// Asserts that `RngDraws` and `ScratchDraws` reproduce the `TapeSource`
 /// reference on `runs` derived streams of `stream` (scratch and output
 /// buffers reused across runs, as a Monte-Carlo loop reuses them), and
 /// returns the reference outputs.
@@ -128,7 +129,7 @@ fn assert_providers_agree<M: Mechanism>(
     let mut out = MechanismOutput::Indices(Vec::new());
     (0..runs)
         .map(|run| {
-            let expect = via_source(m, answers, &mut derive_stream(stream, run));
+            let expect = via_tape(m, answers, &mut derive_stream(stream, run));
             let mut rng = derive_stream(stream, run);
             m.call(&req, &mut RngDraws::new(&mut rng), &mut topk, &mut out)
                 .unwrap();
@@ -412,7 +413,7 @@ fn adaptive_streaming_never_pulls_past_budget_exhaustion() {
     let answers = QueryAnswers::counting(vec![1e9; 500]);
     let (mut scratch, mut out) = (SvtScratch::new(), adaptive_out());
     for run in 0..25u64 {
-        let materialized = via_source(&m, &answers, &mut derive_stream(37, run));
+        let materialized = via_tape(&m, &answers, &mut derive_stream(37, run));
         let MechanismOutput::Adaptive(a) = &materialized else {
             panic!("adaptive output shape");
         };
@@ -455,7 +456,7 @@ fn multi_branch_streaming_never_pulls_past_budget_exhaustion() {
     let answers = QueryAnswers::counting(vec![1e9; 500]);
     let (mut scratch, mut out) = (SvtScratch::new(), multi_branch_out());
     for run in 0..25u64 {
-        let materialized = via_source(&m, &answers, &mut derive_stream(43, run));
+        let materialized = via_tape(&m, &answers, &mut derive_stream(43, run));
         let MechanismOutput::MultiBranch(mb) = &materialized else {
             panic!("multi-branch output shape");
         };

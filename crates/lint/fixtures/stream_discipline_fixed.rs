@@ -2,7 +2,7 @@
 //!
 //! Every family is served from the shared raw-uniform tape, and the
 //! provider-generic core draws only through `DrawProvider` methods. The
-//! draw-exact providers (`RngDraws`, `SourceDraws`) legitimately sample
+//! draw-exact providers (`RngDraws`, `TapeSource`) legitimately sample
 //! directly — the rule must not fire on them.
 
 impl<R: Rng + ?Sized> DrawProvider for ScratchDraws<'_, R> {

@@ -13,7 +13,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `stream-discipline` (R1) | no raw RNG/`NoiseSource` draws inside provider-generic cores or the blocked `ScratchDraws` provider — randomness flows through [`DrawProvider`] methods only |
+//! | `stream-discipline` (R1) | no raw RNG/`TapeSource` draws inside provider-generic cores or the blocked `ScratchDraws` provider — randomness flows through [`DrawProvider`] methods only |
 //! | `endpoint-guard` (R2) | every `.ln()` in a uniform transform clamps its operand with `.max(f64::MIN_POSITIVE)` |
 //! | `panic-freedom` (R3) | no `unwrap`/`expect`/`panic!`/`assert!` in non-test mechanism code — typed `MechanismError` or a justified allow |
 //! | `taxonomy` (R4) | every `impl Mechanism for T` has a `From<T> for AnyMechanism`, a `name()` that is a `MECHANISM_PATHS` row, and a `scratch_equivalence` entry — conversions and grid rows checked back against the impls (cross-file) |

@@ -64,10 +64,10 @@ impl FileScope {
 
 /// Method names whose call inside a stream-disciplined scope bypasses the
 /// provider: raw RNG draws, direct distribution sampling, and the
-/// `NoiseSource` hooks — `draw`, plus the per-family names it replaced, so
-/// a reintroduced family hook is caught too. Identifier-exact, so `draw`
-/// never matches `draws_taken`.
-const R1_BANNED_CALLS: [&str; 19] = [
+/// `TapeSource` hooks — `draw` and `draw_tuple`, plus the per-family names
+/// `draw` replaced, so a reintroduced family hook is caught too.
+/// Identifier-exact, so `draw` never matches `draws_taken`.
+const R1_BANNED_CALLS: [&str; 20] = [
     // rand::Rng surface
     "sample",
     "gen",
@@ -83,8 +83,9 @@ const R1_BANNED_CALLS: [&str; 19] = [
     "fill_into_offset",
     "fill_values_into",
     "fill_values_into_offset",
-    // dyn NoiseSource hooks
+    // TapeSource hooks
     "draw",
+    "draw_tuple",
     "laplace",
     "discrete_laplace",
     "gumbel",
@@ -93,9 +94,9 @@ const R1_BANNED_CALLS: [&str; 19] = [
 ];
 
 /// Bare identifiers that mark raw-stream plumbing inside a
-/// stream-disciplined scope (constructing an RNG or a sampling source where
+/// stream-disciplined scope (constructing an RNG or a recording tape where
 /// only a provider may draw).
-const R1_BANNED_IDENTS: [&str; 3] = ["FastRng", "rng_from_seed", "SamplingSource"];
+const R1_BANNED_IDENTS: [&str; 3] = ["FastRng", "rng_from_seed", "TapeSource"];
 
 /// Panic surfaces banned by R3: `.name(` method calls…
 const R3_BANNED_METHODS: [&str; 4] = ["unwrap", "expect", "unwrap_err", "expect_err"];
@@ -139,11 +140,11 @@ fn is_macro_call(scoped: &[ScopedToken<'_>], i: usize) -> bool {
 /// draw provider, or implements one of the stream-owning providers: the
 /// blocked `ScratchDraws` tape, or the per-block `ParallelDraws` (whose
 /// whole contract is that every draw comes off a derived sub-stream). The
-/// draw-exact providers (`SourceDraws`, `RngDraws`) sample directly by
+/// draw-exact providers (`TapeSource`, `RngDraws`) sample directly by
 /// design and are exempt.
 fn r1_in_scope(ctx: &crate::scanner::Ctx) -> bool {
     let header = ctx.header.as_deref().unwrap_or("");
-    if header.contains("SourceDraws") || header.contains("RngDraws") {
+    if header.contains("TapeSource") || header.contains("RngDraws") {
         return false;
     }
     if ctx

@@ -69,13 +69,13 @@ pub use free_gap_noise as noise;
 
 /// One-stop imports for the common workflows.
 pub mod prelude {
-    pub use free_gap_alignment::{check_alignment, AlignedMechanism};
+    pub use free_gap_alignment::{check_alignment, AlignedMechanism, TapeSource};
     pub use free_gap_core::answers::QueryAnswers;
     pub use free_gap_core::api::{
         AnyMechanism, CallScratch, ExponentialTopK, Mechanism, MechanismOutput, QuerySlice,
     };
     pub use free_gap_core::budget::PrivacyBudget;
-    pub use free_gap_core::draw::{DrawProvider, RngDraws, ScratchDraws, SourceDraws};
+    pub use free_gap_core::draw::{DrawProvider, RngDraws, ScratchDraws};
     pub use free_gap_core::exponential_mech::ExponentialMechanism;
     pub use free_gap_core::laplace_mech::LaplaceMechanism;
     pub use free_gap_core::metrics::{mse_improvement_percent, selection_quality};

@@ -1,17 +1,16 @@
-//! Shared test shorthands: one mechanism call on the dyn reference path
-//! (`AnyMechanism::call_reference` — `SourceDraws` over a `StdRng`), with
+//! Shared test shorthands: one mechanism call on the reference path
+//! (`AnyMechanism::call_reference` — `RngDraws` over a `StdRng`), with
 //! the output unpacked to the mechanism's shape.
 
 // Each test crate uses a subset of these helpers.
 #![allow(dead_code)]
 
-use free_gap::alignment::SamplingSource;
 use free_gap::core::pipelines::{SvtPipelineResult, TopKPipelineResult};
 use free_gap::core::sparse_vector::{AdaptiveSvOutput, MultiBranchSvOutput, SvOutput};
 use free_gap::prelude::*;
 use rand::rngs::StdRng;
 
-/// One call of `mech` over `answers` on the dyn reference path.
+/// One call of `mech` over `answers` on the reference path.
 pub fn reference(
     mech: impl Into<AnyMechanism>,
     answers: &QueryAnswers,
@@ -79,7 +78,7 @@ pub fn multi_branch(
     }
 }
 
-/// The §5.2 Top-K select-then-measure pipeline (50/50 split) on the dyn
+/// The §5.2 Top-K select-then-measure pipeline (50/50 split) on the
 /// reference path.
 pub fn topk_pipeline(
     answers: &QueryAnswers,
@@ -87,8 +86,7 @@ pub fn topk_pipeline(
     epsilon: f64,
     rng: &mut StdRng,
 ) -> Result<TopKPipelineResult, MechanismError> {
-    let mut source = SamplingSource::new(rng);
-    let mut provider = SourceDraws::new(&mut source);
+    let mut provider = RngDraws::new(rng);
     topk_select_measure(
         answers,
         k,
@@ -99,7 +97,7 @@ pub fn topk_pipeline(
     )
 }
 
-/// The §6.2 SVT select-then-measure pipeline on the dyn reference path:
+/// The §6.2 SVT select-then-measure pipeline on the reference path:
 /// the measurements continue the selection's stream.
 pub fn svt_pipeline(
     answers: &QueryAnswers,
@@ -108,8 +106,7 @@ pub fn svt_pipeline(
     threshold: f64,
     rng: &mut StdRng,
 ) -> Result<SvtPipelineResult, MechanismError> {
-    let mut source = SamplingSource::new(rng);
-    let mut provider = SourceDraws::new(&mut source);
+    let mut provider = RngDraws::new(rng);
     svt_select_measure(
         answers,
         k,
